@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
+.PHONY: build test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke perfbench-check ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
 
 build:
 	go build ./...
@@ -26,9 +26,9 @@ misvet:
 	go run ./cmd/misvet ./...
 
 # Engine safety net: vet plus race-detector coverage of the concurrent
-# code — the CONGEST drivers (sharded worker pool, legacy
-# goroutine-per-vertex, distributed coordinator) and the multi-process
-# fleet transport (frame codec, worker protocol, crash recovery).
+# code — the CONGEST drivers (sharded worker pool with its parallel merge
+# and rebalancer, distributed coordinator) and the multi-process fleet
+# transport (frame codec, worker protocol, crash recovery).
 race:
 	go vet ./internal/congest/... ./internal/distrib/... && go test -race ./internal/congest/... ./internal/distrib/...
 
@@ -93,11 +93,18 @@ dist-smoke:
 layout-smoke:
 	go run ./cmd/bench -quick -only E22
 
+# Benchmark build check: perfbench/ is its own module (it requires this
+# one through a replace directive), so the root `go build ./...` never
+# compiles it. Vetting and testing it here catches an engine API change
+# that would break the benchmark. Fast (a few seconds); runs in ci.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
+
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
 # floors, allocation gate, multicore-scaling smoke, dynamic-MIS smoke,
-# distributed-driver smoke, layout smoke.
-ci: test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke
+# distributed-driver smoke, layout smoke, benchmark build check.
+ci: test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke perfbench-check
 
 # Refresh the seed-pinned driver throughput trajectory consumed by future
 # PRs (rounds/sec and messages/sec per driver at n = 2^14).

@@ -132,10 +132,9 @@ func benchEngineDriver(b *testing.B, g *Graph, opts Options) {
 	}
 }
 
-// BenchmarkEngineDrivers compares the three execution strategies on the
-// same workload at the n = 2^14 scale where scheduler overhead separates
-// them: the sharded worker pool must beat the legacy goroutine-per-vertex
-// driver's ns/round (see BENCH_congest.json for the recorded trajectory).
+// BenchmarkEngineDrivers compares the in-process execution strategies on
+// the same workload at n = 2^11 and 2^14 (see BENCH_congest.json for the
+// recorded trajectory).
 func BenchmarkEngineDrivers(b *testing.B) {
 	for _, n := range []int{1 << 11, 1 << 14} {
 		g := UnionOfTrees(n, 2, 7)
@@ -144,9 +143,6 @@ func BenchmarkEngineDrivers(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/pool", n), func(b *testing.B) {
 			benchEngineDriver(b, g, Options{Driver: DriverPool})
-		})
-		b.Run(fmt.Sprintf("n=%d/goroutine-per-vertex", n), func(b *testing.B) {
-			benchEngineDriver(b, g, Options{Driver: DriverGoroutinePerVertex})
 		})
 	}
 }

@@ -24,6 +24,15 @@ func main() {
 	os.Exit(run())
 }
 
+// roundPrinter is the -trace hook: it prints every round-end event.
+type roundPrinter struct{}
+
+func (roundPrinter) Emit(e repro.TraceEvent) {
+	if e.Type == repro.EvRoundEnd {
+		fmt.Printf("round %3d: live=%-6d sent=%d\n", e.Round, e.V, e.X)
+	}
+}
+
 func run() int {
 	family := flag.String("family", "union", "graph family: tree|union|grid|gnp|pa|rgg")
 	n := flag.Int("n", 4096, "number of vertices")
@@ -31,7 +40,7 @@ func run() int {
 	p := flag.Float64("p", 0.01, "edge probability (gnp) / radius (rgg)")
 	algo := flag.String("algo", "arbmis", "algorithm: arbmis|arbmis-paper|arbmis-full|metivier|luby-a|luby-b|ghaffari|matching")
 	seed := flag.Uint64("seed", 1, "seed for graph and run")
-	parallel := flag.Bool("parallel", false, "one goroutine per node")
+	parallel := flag.Bool("parallel", false, "run on the sharded worker-pool driver (bit-identical to sequential)")
 	stdin := flag.Bool("stdin", false, "read an edge list (\"n m\" then \"u v\" lines) from stdin instead of generating")
 	trace := flag.Bool("trace", false, "print per-round live-node and message counts (baseline algorithms)")
 	flag.Parse()
@@ -44,11 +53,12 @@ func run() int {
 	lo, hi := repro.ArboricityBounds(g)
 	fmt.Printf("graph: n=%d m=%d Δ=%d arboricity∈[%d,%d]\n", g.N(), g.M(), g.MaxDegree(), lo, hi)
 
-	opts := repro.Options{Seed: *seed, Parallel: *parallel}
+	opts := repro.Options{Seed: *seed}
+	if *parallel {
+		opts.Driver = repro.DriverPool
+	}
 	if *trace {
-		opts.Observer = func(round, live int, sent int64) {
-			fmt.Printf("round %3d: live=%-6d sent=%d\n", round, live, sent)
-		}
+		opts.Events = roundPrinter{}
 	}
 	switch *algo {
 	case "arbmis-full":

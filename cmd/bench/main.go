@@ -20,10 +20,9 @@
 // file — JSONL (replayable with cmd/traceview) or the Chrome trace-event
 // format (loadable in chrome://tracing).
 //
-// -engine-bench measures every engine driver (sequential, worker pool,
-// legacy goroutine-per-vertex) on a seed-pinned workload and writes the
-// rounds/sec and messages/sec trajectory as JSON, so perf changes are
-// visible across PRs.
+// -engine-bench measures the in-process engine drivers (sequential, worker
+// pool) on a seed-pinned workload and writes the rounds/sec and
+// messages/sec trajectory as JSON, so perf changes are visible across PRs.
 //
 // -faults sweeps the E16 fault scenarios (drops, crashes, partitions)
 // against the fault-tolerant MIS on a seed-pinned workload and writes the
@@ -34,12 +33,12 @@
 // on a seed-pinned workload and writes BENCH_trace.json, the E17 budget
 // check (ring ≤ 15% at n = 2^14 on the pool driver).
 //
-// -alloc-bench measures every driver's heap-allocation profile (allocations
-// and bytes per run, allocations per message) plus throughput on the same
-// seed-pinned workload as -engine-bench, and writes BENCH_alloc.json, the
-// E18 zero-allocation message-path check. -alloc-baseline points at an
-// earlier BENCH_congest.json whose sequential messages/sec becomes the
-// embedded speedup baseline.
+// -alloc-bench measures each in-process driver's heap-allocation profile
+// (allocations and bytes per run, allocations per message) plus throughput
+// on the same seed-pinned workload as -engine-bench, and writes
+// BENCH_alloc.json, the E18 zero-allocation message-path check.
+// -alloc-baseline points at an earlier BENCH_congest.json whose sequential
+// messages/sec becomes the embedded speedup baseline.
 //
 // -dynmis-bench replays generated update streams through the dynamic-MIS
 // engine (internal/dynmis) on the tree and union-of-trees families,
@@ -110,7 +109,6 @@ func run() int {
 	scaleNS := flag.String("scale-ns", "262144,1048576,4194304", "comma-separated graph sizes for -scale-bench")
 	scaleWorkers := flag.String("scale-workers", "1,2,4,8,0", "comma-separated pool worker counts for -scale-bench (0 = GOMAXPROCS)")
 	scaleReps := flag.Int("scale-reps", 2, "timed runs per cell for -scale-bench (best wall time wins)")
-	scaleGPV := flag.Bool("scale-gpv", false, "include the legacy goroutine-per-vertex driver in -scale-bench")
 	dynmisBench := flag.String("dynmis-bench", "", "write dynamic-MIS incremental-repair JSON to this file and exit")
 	dynmisNS := flag.String("dynmis-ns", "4096,16384,65536", "comma-separated graph sizes for -dynmis-bench")
 	dynmisBatches := flag.Int("dynmis-batches", 64, "update batches per case for -dynmis-bench")
@@ -181,7 +179,7 @@ func run() int {
 		return runTraceBench(*traceBench, *traceN, *seed, *traceReps)
 	}
 	if *scaleBench != "" {
-		return runScaleBench(*scaleBench, *scaleNS, *scaleWorkers, *seed, *scaleReps, *scaleGPV)
+		return runScaleBench(*scaleBench, *scaleNS, *scaleWorkers, *seed, *scaleReps)
 	}
 	if *layoutBench != "" {
 		return runLayoutBench(*layoutBench, *layoutNS, *seed, *layoutReps, *layoutMinSpeedup)
@@ -209,12 +207,12 @@ func run() int {
 		cfg = exp.QuickConfig()
 	}
 	cfg.Seed = *seed
-	cfg.Parallel = *parallel
 	cfg.Workers = *workers
 	if *seeds > 0 {
 		cfg.Seeds = *seeds
 	}
 	if *parallel {
+		cfg.Driver = congest.DriverPool
 		cfg.PoolStats = &congest.DriverStats{}
 	}
 	if *tracePath != "" {
@@ -353,7 +351,7 @@ func parseInts(flagName, s string) ([]int, error) {
 // runScaleBench measures the cores × n scaling matrix and writes
 // BENCH_scale.json. Every text row names both the requested and resolved
 // worker counts, so clamped requests are visible at a glance.
-func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int, includeGPV bool) int {
+func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int) int {
 	ns, err := parseInts("-scale-ns", nsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
@@ -364,7 +362,7 @@ func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int, incl
 		fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
 		return 1
 	}
-	report, err := exp.RunScaleBench(ns, workerSet, seed, reps, includeGPV)
+	report, err := exp.RunScaleBench(ns, workerSet, seed, reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
 		return 1

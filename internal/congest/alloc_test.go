@@ -83,8 +83,8 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 func TestSteadyStateRoundZeroAllocsBucketed(t *testing.T) {
 	const n = 1024
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed:     1,
-		Parallel: true,
+		Seed:   1,
+		Driver: DriverPool,
 	})
 	st := r.newExecState(4)
 	if st.buckets != 4 {
@@ -156,9 +156,8 @@ func TestSteadyStateRoundZeroAllocsRelabeled(t *testing.T) {
 func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	const n = 256
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed:     1,
-		DropProb: 0, // keep the legacy knob off; the plan below is the fault model
-		Faults:   &delayEveryFourth{},
+		Seed:   1,
+		Faults: &delayEveryFourth{},
 	})
 	st := r.newExecState(1)
 	round := 0

@@ -3,14 +3,15 @@
 // messages between neighbors whose size the engine meters (the CONGEST
 // model allows O(log n) bits per edge per round).
 //
-// Three interchangeable drivers execute a program:
+// Three interchangeable drivers execute a program, selected by
+// Options.Driver:
 //
-//   - the sequential driver sweeps vertices in ID order each round,
+//   - the sequential driver (the zero value) sweeps vertices in ID order
+//     each round,
 //   - the sharded worker-pool driver partitions vertices into contiguous
-//     shards, one long-lived worker goroutine per shard (default: the
-//     pool driver behind Options.Parallel), and
-//   - the legacy goroutine-per-vertex driver, retained only as a
-//     benchmark baseline (Options.Driver = DriverGoroutinePerVertex).
+//     shards, one long-lived worker goroutine per shard, and
+//   - the distributed driver runs each shard in a separate OS process
+//     (see internal/distrib).
 //
 // All drivers produce bit-identical executions for the same seed. Three
 // invariants make scheduling order invisible to programs:
@@ -28,9 +29,7 @@
 //
 // Fault injection is delegated to internal/faultsim: Options.Faults
 // accepts any faultsim.Plan (message drops, link bursts, partitions,
-// vertex crashes and restarts, delivery delays), and the legacy
-// Options.DropProb knob is implemented as a faultsim.BernoulliDrop layered
-// under the plan.
+// vertex crashes and restarts, delivery delays).
 package congest
 
 import (
@@ -225,19 +224,12 @@ func (c *Context) Emit(code int32, value int64) {
 type DriverKind int
 
 const (
-	// DriverAuto picks the sequential driver, or the worker pool when
-	// Options.Parallel is set. This is the zero value.
-	DriverAuto DriverKind = iota
-	// DriverSequential sweeps vertices in ID order on one goroutine.
-	DriverSequential
+	// DriverSequential sweeps vertices in ID order on one goroutine. This
+	// is the zero value.
+	DriverSequential DriverKind = iota
 	// DriverPool is the sharded worker-pool driver: GOMAXPROCS workers
 	// (override with Options.Workers) each own a contiguous vertex shard.
 	DriverPool
-	// DriverGoroutinePerVertex is the legacy driver: one long-lived
-	// goroutine and a channel round-trip per vertex per round. It exists
-	// as a baseline for BENCH_congest.json and the engine benchmarks;
-	// prefer DriverPool for real runs.
-	DriverGoroutinePerVertex
 	// DriverDistributed runs every shard in a separate OS process: the
 	// coordinator exchanges round-batched frames with a fleet of shard
 	// workers over unix sockets or TCP (see internal/distrib), performing
@@ -253,12 +245,10 @@ func (k DriverKind) String() string {
 		return "sequential"
 	case DriverPool:
 		return "pool"
-	case DriverGoroutinePerVertex:
-		return "goroutine-per-vertex"
 	case DriverDistributed:
 		return "distributed"
 	default:
-		return "auto"
+		return fmt.Sprintf("DriverKind(%d)", int(k))
 	}
 }
 
@@ -269,11 +259,8 @@ type Options struct {
 	// MaxRounds aborts the run if the program has not halted by then.
 	// Zero means the DefaultMaxRounds safety net.
 	MaxRounds int
-	// Parallel selects the sharded worker-pool driver (when Driver is
-	// DriverAuto).
-	Parallel bool
-	// Driver, when not DriverAuto, selects the execution strategy
-	// explicitly and takes precedence over Parallel.
+	// Driver selects the execution strategy; the zero value is
+	// DriverSequential.
 	Driver DriverKind
 	// Workers is the worker/shard count for the pool driver. Zero or
 	// negative means GOMAXPROCS; the count is clamped to the vertex count.
@@ -292,28 +279,11 @@ type Options struct {
 	// bit-identical to each other within one. An unknown name fails Run
 	// with the parse error.
 	Layout string
-	// NoRebalance disables the pool driver's live-weighted shard
-	// rebalancing (see rebalance.go). Rebalancing re-partitions the
-	// contiguous vertex ranges between rounds when the live histogram is
-	// skewed; it changes which worker sweeps which vertex but not the
-	// deterministic event stream or any program-visible state, so the knob
-	// exists only for benchmarking the unbalanced baseline.
-	NoRebalance bool
-	// DropProb, when positive, drops each message independently with this
-	// probability (deterministically, from a fault stream derived from
-	// Seed).
-	//
-	// Deprecated: DropProb is the legacy uniform-loss knob, kept working
-	// for callers and experiments that predate structured fault plans. It
-	// is implemented as a faultsim.BernoulliDrop composed under Faults;
-	// new code should set Faults directly.
-	DropProb float64
 	// Faults, when non-nil, is the fault-injection plan for the run: it
 	// decides the fate of every message (drop, delay) and every vertex
 	// (crash-stop, crash-restart) per round. Plans are consulted on the
 	// coordinator in global sender order with a dedicated RNG stream split
-	// from Seed, so faulted runs stay bit-identical across drivers. When
-	// DropProb is also set, the Bernoulli layer is consulted first. This
+	// from Seed, so faulted runs stay bit-identical across drivers. This
 	// deliberately breaks the reliable-delivery assumption of CONGEST; it
 	// exists for robustness experiments only.
 	Faults faultsim.Plan
@@ -323,25 +293,15 @@ type Options struct {
 	// draw totals. Emission happens on the coordinator in an order that is
 	// deterministic across drivers; tracing is purely observational and a
 	// traced run is bit-identical to an untraced one. Attach a
-	// trace.Recorder here to capture, export, or fingerprint a run.
+	// trace.Recorder here to capture, export, or fingerprint a run, or a
+	// sink that keys on trace.EvRoundEnd for a per-round hook (round,
+	// live count, sends).
 	Events trace.Sink
 	// EventTiming, when set alongside Events, adds the pool driver's
 	// wall-clock shard-sweep and merge timing events (advisory: they are
-	// real durations, not deterministic values).
+	// real durations, not deterministic values). DriverStats aggregates
+	// them.
 	EventTiming bool
-	// EventShardFlow, when set alongside Events, adds per-round message
-	// counts per (source shard, destination shard) pair (advisory: shard
-	// boundaries depend on the driver and worker count).
-	EventShardFlow bool
-	// Observer, when non-nil, is called after every completed round with
-	// the round number, the number of nodes still live after it, and the
-	// number of messages sent during it. Round 0 reports Init. It runs on
-	// the coordinator (never concurrently) and must not retain the engine.
-	//
-	// Deprecated: Observer predates the event bus and is kept as a
-	// bit-identical adapter over it (it fires on every trace.EvRoundEnd).
-	// New code should attach a trace.Sink via Events instead.
-	Observer func(round, live int, sent int64)
 	// Fleet, when Driver is DriverDistributed, is the shard-worker fleet
 	// the coordinator drives: one connection per contiguous vertex shard,
 	// each backed by a separate OS process (see internal/distrib for the
@@ -350,27 +310,6 @@ type Options struct {
 	// restarted via Fleet.Shard and fast-forwarded from the coordinator's
 	// round-input log. Ignored by the in-process drivers.
 	Fleet Fleet
-	// PoolObserver, when non-nil, receives per-round driver-efficiency
-	// metrics (per-shard busy time, merge time, live-node histogram) from
-	// the pool driver. It runs on the coordinator; the metric's slices are
-	// reused between rounds and must not be retained. The sequential and
-	// legacy drivers never call it.
-	//
-	// Deprecated: PoolObserver predates the event bus and is kept as an
-	// adapter over its timing events (trace.EvShardBusy / trace.EvMerge).
-	// New code should set Events with EventTiming instead.
-	PoolObserver func(m PoolRoundMetrics)
-}
-
-// driverKind resolves the configured driver.
-func (o Options) driverKind() DriverKind {
-	if o.Driver != DriverAuto {
-		return o.Driver
-	}
-	if o.Parallel {
-		return DriverPool
-	}
-	return DriverSequential
 }
 
 // DefaultMaxRounds bounds runaway programs. It is generous: every algorithm
@@ -528,11 +467,9 @@ func (r *Runner) Run() (Result, error) {
 	if r.layoutErr != nil {
 		return Result{}, r.layoutErr
 	}
-	switch r.opts.driverKind() {
+	switch r.opts.Driver {
 	case DriverPool:
 		return r.runPool()
-	case DriverGoroutinePerVertex:
-		return r.runGoroutinePerVertex()
 	case DriverDistributed:
 		return r.runDistributed()
 	default:
@@ -554,9 +491,8 @@ type shard struct {
 	liveCount int      // set bits in frontier (O(1) empty-shard skip)
 	// out is the per-destination-bucket outbox family: out[d] holds the
 	// messages this shard's nodes sent to vertices of destination shard d,
-	// in send order. Unbucketed runs (sequential driver, fault plans,
-	// shard-flow attribution, the legacy driver) use a single bucket and
-	// out[0] is the classic global-send-order outbox.
+	// in send order. Unbucketed runs (sequential driver, fault plans) use
+	// a single bucket and out[0] is the classic global-send-order outbox.
 	out    [][]addressed
 	vshard []int32       // shared vertex→shard map for bucket routing (nil when unbucketed)
 	events []trace.Event // program/halt events buffered during the sweep
@@ -590,7 +526,7 @@ type execState struct {
 
 	live      int
 	res       Result
-	plan      faultsim.Plan       // effective fault plan (nil = reliable network)
+	plan      faultsim.Plan       // fault plan (nil = reliable network)
 	faults    *rng.RNG            // coordinator-owned fault stream
 	delayed   map[int][]addressed // in-flight messages keyed by consumption round
 	delayFree [][]addressed       // drained delay buckets, kept for reuse
@@ -600,8 +536,8 @@ type execState struct {
 	// Bucketed-merge state. buckets is the destination-bucket count per
 	// shard outbox: numShards for the pool driver on a reliable network
 	// (delivery decomposes into per-destination-shard merges that can run
-	// on the workers), 1 otherwise (fault draws and flow attribution need
-	// the global send order a single outbox preserves). parMerge, set by
+	// on the workers), 1 otherwise (fault draws need the global send order
+	// a single outbox preserves). parMerge, set by
 	// the pool driver, dispatches one merge task per shard to the worker
 	// pool and waits; nil means the coordinator merges the buckets itself.
 	buckets    int
@@ -609,14 +545,11 @@ type execState struct {
 	scratch    []uint64 // whole-graph frontier gather space for rebalancing
 	rebalances int64    // rebalance count over the run
 
-	// Event-bus state (see events.go). bus is nil when nothing listens;
-	// full means a real sink (Options.Events) wants the rich stream, not
-	// just the deprecated adapters.
+	// Event-bus state (see events.go). bus is Options.Events: nil when
+	// nothing listens.
 	bus            trace.Sink
-	full           bool
-	flow           map[uint64]int64 // per-round (srcShard,dstShard) sends
-	vshard         []int32          // vertex -> shard, for flow attribution
-	lastDelivered  int64            // round-delta trackers for EvRoundEnd/EvRNG
+	vshard         []int32 // vertex -> shard, for bucket routing
+	lastDelivered  int64   // round-delta trackers for EvRoundEnd/EvRNG
 	lastDropped    int64
 	lastDraws      uint64
 	lastFaultDraws uint64
@@ -655,22 +588,6 @@ func (st *execState) extID(v int) int {
 	return st.ext[v]
 }
 
-// effectivePlan resolves the run's fault model: the legacy DropProb knob
-// becomes a BernoulliDrop layer consulted before any explicit plan, which
-// keeps DropProb-only runs bit-identical to the pre-faultsim engine (one
-// Bool draw per message from the same stream, in the same order).
-func (o Options) effectivePlan() faultsim.Plan {
-	plan := o.Faults
-	if o.DropProb > 0 {
-		drop := faultsim.BernoulliDrop{P: o.DropProb}
-		if plan == nil {
-			return drop
-		}
-		plan = faultsim.Compose(drop, plan)
-	}
-	return plan
-}
-
 // newExecState prepares contexts and shards. Shard boundaries split the
 // vertex range into numShards near-equal contiguous pieces.
 func (r *Runner) newExecState(numShards int) *execState {
@@ -688,37 +605,28 @@ func (r *Runner) newExecState(numShards int) *execState {
 		inboxLen: make([]int, n),
 		shards:   make([]*shard, numShards),
 		live:     n,
-		plan:     r.opts.effectivePlan(),
+		plan:     r.opts.Faults,
+		bus:      r.opts.Events,
 	}
 	st.ext, st.perm = r.ext, r.perm
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
 	}
-	st.bus, st.full = r.opts.eventBus()
-	r.traced = st.full
-	flowWanted := st.full && r.opts.EventShardFlow
+	r.traced = st.bus != nil
 	// Destination-bucketed outboxes let delivery decompose into disjoint
 	// per-shard merges (deliverBuckets); they require a reliable network
 	// (fault draws consume the fault stream in global send order, which
-	// only a single outbox preserves) and no flow attribution, and they
-	// only pay off under the pool driver.
+	// only a single outbox preserves), and they only pay off under the
+	// pool driver.
 	st.buckets = 1
-	if r.opts.driverKind() == DriverPool && numShards > 1 && st.plan == nil && !flowWanted {
+	if r.opts.Driver == DriverPool && numShards > 1 && st.plan == nil {
 		st.buckets = numShards
-	}
-	if flowWanted || st.buckets > 1 {
 		st.vshard = make([]int32, n)
-	}
-	if flowWanted {
-		st.flow = make(map[uint64]int64)
 	}
 	for s := range st.shards {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
-		sh := &shard{idx: s, out: make([][]addressed, st.buckets)}
+		sh := &shard{idx: s, out: make([][]addressed, st.buckets), vshard: st.vshard}
 		sh.resetFrontier(lo, hi)
-		if st.buckets > 1 {
-			sh.vshard = st.vshard
-		}
 		for v := lo; v < hi; v++ {
 			if st.vshard != nil {
 				st.vshard[v] = int32(s)
@@ -889,10 +797,10 @@ func (r *Runner) deliver(st *execState, round int) error {
 		st.delayFree = append(st.delayFree, delayedNow[:0])
 		delete(st.delayed, consume)
 	}
-	for s, sh := range st.shards {
-		if st.plan == nil && st.flow == nil {
-			// Reliable fast path: no fates to draw, no flow to attribute.
-			st.sent += int64(len(sh.out[0]))
+	for _, sh := range st.shards {
+		st.sent += int64(len(sh.out[0]))
+		if st.plan == nil {
+			// Reliable fast path: no fates to draw.
 			for _, a := range sh.out[0] {
 				st.deposit(a)
 			}
@@ -900,45 +808,36 @@ func (r *Runner) deliver(st *execState, round int) error {
 			continue
 		}
 		for _, a := range sh.out[0] {
-			st.sent++
-			if st.flow != nil {
-				st.noteFlow(int32(s), a.to)
+			fate := st.plan.Message(round, a.msg.From, st.extID(a.to), st.faults)
+			if fate.Drop {
+				st.res.Dropped++
+				if st.bus != nil {
+					st.bus.Emit(trace.Event{
+						Type: trace.EvDrop, Round: int32(round),
+						V: int32(a.msg.From), W: int32(st.extID(a.to)),
+					})
+				}
+				continue
 			}
-			if st.plan != nil {
-				fate := st.plan.Message(round, a.msg.From, st.extID(a.to), st.faults)
-				if fate.Drop {
-					st.res.Dropped++
-					if st.full {
-						st.bus.Emit(trace.Event{
-							Type: trace.EvDrop, Round: int32(round),
-							V: int32(a.msg.From), W: int32(st.extID(a.to)),
-						})
-					}
-					continue
+			if fate.Delay > 0 {
+				if st.delayed == nil {
+					//congest:coldpath first delay fault of the run allocates the bucket map once
+					st.delayed = make(map[int][]addressed)
 				}
-				if fate.Delay > 0 {
-					if st.delayed == nil {
-						//congest:coldpath first delay fault of the run allocates the bucket map once
-						st.delayed = make(map[int][]addressed)
-					}
-					at := consume + fate.Delay
-					st.delayed[at] = st.appendDelayed(st.delayed[at], a)
-					st.res.Delayed++
-					if st.full {
-						st.bus.Emit(trace.Event{
-							Type: trace.EvDelay, Round: int32(round),
-							V: int32(a.msg.From), W: int32(st.extID(a.to)), X: int64(fate.Delay),
-						})
-					}
-					continue
+				at := consume + fate.Delay
+				st.delayed[at] = st.appendDelayed(st.delayed[at], a)
+				st.res.Delayed++
+				if st.bus != nil {
+					st.bus.Emit(trace.Event{
+						Type: trace.EvDelay, Round: int32(round),
+						V: int32(a.msg.From), W: int32(st.extID(a.to)), X: int64(fate.Delay),
+					})
 				}
+				continue
 			}
 			st.admit(a, consume)
 		}
 		sh.out[0] = sh.out[0][:0]
-	}
-	if st.flow != nil {
-		st.emitFlow(round)
 	}
 	return nil
 }
@@ -950,7 +849,7 @@ func (r *Runner) deliver(st *execState, round int) error {
 const parallelMergeMin = 1 << 13
 
 // deliverBuckets is delivery for bucketed runs (pool driver, reliable
-// network, no flow attribution): every shard swept its nodes into
+// network): every shard swept its nodes into
 // per-destination-shard sub-outboxes, so shard d's whole inbox region is
 // exactly {out[d] of every source shard} — a merge over disjoint arena
 // ranges that can run per destination shard, in parallel, with no
@@ -1071,7 +970,7 @@ func (st *execState) appendDelayed(bucket []addressed, a addressed) []addressed 
 func (st *execState) admit(a addressed, consume int) {
 	if st.plan != nil && st.plan.Vertex(consume, st.extID(a.to)) != faultsim.VertexUp {
 		st.res.Dropped++
-		if st.full {
+		if st.bus != nil {
 			// consume-1 is the round being delivered: event rounds stay
 			// nondecreasing within the stream, which Bisect relies on.
 			st.bus.Emit(trace.Event{
@@ -1113,9 +1012,8 @@ func (st *execState) refreshLive() {
 // then rounds 1, 2, ... until every node has halted. sweep(round) must run
 // every live node once; afterRound, when non-nil, runs after each
 // successfully delivered round, before the round-end event (the pool
-// driver publishes its timing events there). Round reporting — the
-// deprecated Observer/PoolObserver callbacks included — rides the event
-// bus: startRound/endRound bracket each round on it.
+// driver publishes its timing events there). Round reporting rides the
+// event bus: startRound/endRound bracket each round on it.
 //
 // Result.Rounds is committed only after a round's delivery succeeds, so a
 // run aborted by a mid-round model violation reports the last *completed*

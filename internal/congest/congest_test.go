@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/faultsim"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // rawWire builds an uninterpreted test payload of the given bit size. Kind
@@ -20,6 +22,24 @@ type haltNow struct{}
 func (haltNow) Init(ctx *Context)         { ctx.Halt() }
 func (haltNow) Round(*Context, []Message) {}
 func haltFactory(int) Node                { return haltNow{} }
+
+// inProcess lists the in-process drivers for sequential-vs-pool checks.
+var inProcess = []DriverKind{DriverSequential, DriverPool}
+
+// roundEndSink is a per-round hook over the event stream: it calls the
+// function on every round-end event with (round, live, sent).
+type roundEndSink func(round, live int, sent int64)
+
+func (f roundEndSink) Emit(e trace.Event) {
+	if e.Type == trace.EvRoundEnd {
+		f(int(e.Round), int(e.V), e.X)
+	}
+}
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(trace.Event)
+
+func (f sinkFunc) Emit(e trace.Event) { f(e) }
 
 // pingCounter broadcasts for k rounds, counting received messages.
 type pingCounter struct {
@@ -200,14 +220,14 @@ func TestInboxSortedBySender(t *testing.T) {
 	g := graph.MustNew(6, []graph.Edge{
 		{U: 0, V: 5}, {U: 0, V: 3}, {U: 0, V: 1}, {U: 0, V: 4}, {U: 0, V: 2},
 	})
-	for _, parallel := range []bool{false, true} {
-		r := NewRunner(g, func(int) Node { return &inboxOrderChecker{} }, Options{Seed: 1, Parallel: parallel})
+	for _, driver := range inProcess {
+		r := NewRunner(g, func(int) Node { return &inboxOrderChecker{} }, Options{Seed: 1, Driver: driver})
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < 6; v++ {
 			if r.Node(v).(*inboxOrderChecker).bad {
-				t.Fatalf("parallel=%v: unsorted inbox at node %d", parallel, v)
+				t.Fatalf("%s: unsorted inbox at node %d", driver, v)
 			}
 		}
 	}
@@ -215,7 +235,7 @@ func TestInboxSortedBySender(t *testing.T) {
 
 func TestDropInjection(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
-	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 50} }, Options{Seed: 3, DropProb: 0.5})
+	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 50} }, Options{Seed: 3, Faults: faultsim.BernoulliDrop{P: 0.5}})
 	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +252,7 @@ func TestDropInjection(t *testing.T) {
 func TestDropInjectionDeterministic(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
 	run := func() int64 {
-		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 30} }, Options{Seed: 9, DropProb: 0.3})
+		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 30} }, Options{Seed: 9, Faults: faultsim.BernoulliDrop{P: 0.3}})
 		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -250,15 +270,15 @@ func TestParallelMatchesSequentialCounters(t *testing.T) {
 		{U: 5, V: 6}, {U: 6, V: 7}, {U: 7, V: 8}, {U: 8, V: 9}, {U: 9, V: 0},
 		{U: 0, V: 5}, {U: 2, V: 7},
 	})
-	run := func(parallel bool) Result {
-		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 5} }, Options{Seed: 2, Parallel: parallel})
+	run := func(driver DriverKind) Result {
+		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 5} }, Options{Seed: 2, Driver: driver})
 		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq, par := run(false), run(true)
+	seq, par := run(DriverSequential), run(DriverPool)
 	if seq != par {
 		t.Fatalf("sequential %+v != parallel %+v", seq, par)
 	}
@@ -311,9 +331,9 @@ func TestObserverReportsRounds(t *testing.T) {
 	var seen []obs
 	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 3} }, Options{
 		Seed: 1,
-		Observer: func(round, live int, sent int64) {
+		Events: roundEndSink(func(round, live int, sent int64) {
 			seen = append(seen, obs{round, live, sent})
-		},
+		}),
 	})
 	res, err := r.Run()
 	if err != nil {
@@ -339,19 +359,19 @@ func TestObserverReportsRounds(t *testing.T) {
 
 func TestObserverSequentialParallelAgree(t *testing.T) {
 	g := graph.MustNew(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
-	capture := func(parallel bool) []int {
+	capture := func(driver DriverKind) []int {
 		var lives []int
 		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 4} }, Options{
-			Seed:     2,
-			Parallel: parallel,
-			Observer: func(_, live int, _ int64) { lives = append(lives, live) },
+			Seed:   2,
+			Driver: driver,
+			Events: roundEndSink(func(_, live int, _ int64) { lives = append(lives, live) }),
 		})
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return lives
 	}
-	a, b := capture(false), capture(true)
+	a, b := capture(DriverSequential), capture(DriverPool)
 	if len(a) != len(b) {
 		t.Fatalf("observation counts differ: %d vs %d", len(a), len(b))
 	}
@@ -381,14 +401,14 @@ func (h *haltAfterSend) Round(ctx *Context, inbox []Message) {
 
 func TestMessagesSentBeforeHaltAreDelivered(t *testing.T) {
 	g := graph.MustNew(3, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}})
-	for _, parallel := range []bool{false, true} {
-		r := NewRunner(g, func(int) Node { return &haltAfterSend{} }, Options{Seed: 1, Parallel: parallel})
+	for _, driver := range inProcess {
+		r := NewRunner(g, func(int) Node { return &haltAfterSend{} }, Options{Seed: 1, Driver: driver})
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		for v := 1; v <= 2; v++ {
 			if got := r.Node(v).(*haltAfterSend).got; got != 1 {
-				t.Fatalf("parallel=%v: node %d received %d messages from halting sender", parallel, v, got)
+				t.Fatalf("%s: node %d received %d messages from halting sender", driver, v, got)
 			}
 		}
 	}
@@ -399,11 +419,10 @@ func TestMessagesSentBeforeHaltAreDelivered(t *testing.T) {
 func allDrivers(base Options) map[string]Options {
 	out := map[string]Options{}
 	for name, set := range map[string]func(*Options){
-		"sequential":           func(o *Options) { o.Driver = DriverSequential },
-		"pool-1":               func(o *Options) { o.Driver = DriverPool; o.Workers = 1 },
-		"pool-3":               func(o *Options) { o.Driver = DriverPool; o.Workers = 3 },
-		"pool-wide":            func(o *Options) { o.Driver = DriverPool; o.Workers = 1 << 20 },
-		"goroutine-per-vertex": func(o *Options) { o.Driver = DriverGoroutinePerVertex },
+		"sequential": func(o *Options) { o.Driver = DriverSequential },
+		"pool-1":     func(o *Options) { o.Driver = DriverPool; o.Workers = 1 },
+		"pool-3":     func(o *Options) { o.Driver = DriverPool; o.Workers = 3 },
+		"pool-wide":  func(o *Options) { o.Driver = DriverPool; o.Workers = 1 << 20 },
 	} {
 		o := base
 		set(&o)
@@ -453,7 +472,10 @@ func TestAllDriversBitIdentical(t *testing.T) {
 		{U: 0, V: 5}, {U: 2, V: 7},
 	})
 	for _, drop := range []float64{0, 0.3} {
-		base := Options{Seed: 42, DropProb: drop}
+		base := Options{Seed: 42}
+		if drop > 0 {
+			base.Faults = faultsim.BernoulliDrop{P: drop}
+		}
 		var refName string
 		var ref Result
 		var refRecv []int
@@ -484,45 +506,46 @@ func TestAllDriversBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolObserverMetrics exercises the per-round driver-efficiency hook:
-// one metric per round (Init included), a live histogram matching the
-// shard count, and a coherent DriverStats aggregate.
+// TestPoolObserverMetrics exercises the pool's per-round driver-efficiency
+// metrics, read through DriverStats as the event sink of a timed pool run:
+// one aggregated round per engine round (Init included), the shard count
+// as Workers, per-shard live counts that sum to the round-end live count,
+// and a coherent aggregate.
 func TestPoolObserverMetrics(t *testing.T) {
 	g := graph.MustNew(8, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
 		{U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7},
 	})
 	var agg DriverStats
-	rounds := 0
-	lastLive := -1
+	var events []trace.Event
 	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 4} }, Options{
-		Seed:    1,
-		Driver:  DriverPool,
-		Workers: 2,
-		PoolObserver: func(m PoolRoundMetrics) {
-			if m.Round != rounds {
-				t.Fatalf("metrics round %d, want %d", m.Round, rounds)
-			}
-			if len(m.Live) != 2 || len(m.Busy) != 2 {
-				t.Fatalf("metrics sized for %d/%d shards, want 2", len(m.Live), len(m.Busy))
-			}
-			lastLive = m.Live[0] + m.Live[1]
-			rounds++
-			agg.Observe(m)
-		},
+		Seed: 1, Driver: DriverPool, Workers: 2, EventTiming: true,
+		Events: sinkFunc(func(e trace.Event) {
+			agg.Emit(e)
+			events = append(events, e)
+		}),
 	})
 	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != res.Rounds+1 {
-		t.Fatalf("observed %d metric rounds for %d engine rounds", rounds, res.Rounds)
+	if agg.Rounds != res.Rounds+1 || agg.Workers != 2 {
+		t.Fatalf("aggregate %+v inconsistent with %d rounds (+Init) / 2 workers", agg, res.Rounds)
+	}
+	shardLive, lastLive := 0, -1
+	for _, e := range events {
+		switch e.Type {
+		case trace.EvShardBusy:
+			shardLive += int(e.Y)
+		case trace.EvRoundEnd:
+			if shardLive != int(e.V) {
+				t.Fatalf("round %d: shard live counts sum to %d, round-end live %d", e.Round, shardLive, e.V)
+			}
+			lastLive, shardLive = int(e.V), 0
+		}
 	}
 	if lastLive != 0 {
-		t.Fatalf("final live histogram sums to %d, want 0", lastLive)
-	}
-	if agg.Rounds != rounds || agg.Workers != 2 {
-		t.Fatalf("aggregate %+v inconsistent with %d rounds / 2 workers", agg, rounds)
+		t.Fatalf("final live count %d, want 0", lastLive)
 	}
 	if agg.Busy < agg.Critical || agg.Critical <= 0 {
 		t.Fatalf("busy %v must cover critical path %v > 0", agg.Busy, agg.Critical)
@@ -561,10 +584,10 @@ func TestPoolShardingShapes(t *testing.T) {
 
 func TestDriverKindString(t *testing.T) {
 	want := map[DriverKind]string{
-		DriverAuto:               "auto",
-		DriverSequential:         "sequential",
-		DriverPool:               "pool",
-		DriverGoroutinePerVertex: "goroutine-per-vertex",
+		DriverSequential:  "sequential",
+		DriverPool:        "pool",
+		DriverDistributed: "distributed",
+		DriverKind(9):     "DriverKind(9)",
 	}
 	for k, s := range want {
 		if k.String() != s {

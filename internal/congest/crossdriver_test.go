@@ -1,8 +1,8 @@
 // Cross-driver determinism suite: every MIS program in internal/mis/...
 // must produce bit-identical runs — same Result counters, same per-node
 // outputs — under the sequential driver, the sharded worker pool (at
-// several shard counts), and the legacy goroutine-per-vertex driver,
-// with and without fault injection. This is the engine's load-bearing
+// several shard counts), and the distributed driver, with and without
+// fault injection. This is the engine's load-bearing
 // guarantee: experiments run on whichever driver is fastest and stay
 // reproducible.
 package congest_test
@@ -49,7 +49,6 @@ var driverMatrix = []struct {
 	{"pool-1", func(o *congest.Options) { o.Driver = congest.DriverPool; o.Workers = 1 }},
 	{"pool-4", func(o *congest.Options) { o.Driver = congest.DriverPool; o.Workers = 4 }},
 	{"pool-8", func(o *congest.Options) { o.Driver = congest.DriverPool; o.Workers = 8 }},
-	{"goroutine-per-vertex", func(o *congest.Options) { o.Driver = congest.DriverGoroutinePerVertex }},
 }
 
 // statusProgram is a status-returning MIS (or MIS-adjacent) program.
@@ -181,7 +180,7 @@ func TestCrossDriverAllPrograms(t *testing.T) {
 			// Randomized programs must also agree under message drops,
 			// where a stalled run (ErrMaxRounds) is acceptable as long as
 			// every driver stalls identically.
-			runMatrix(t, prog.name+"/drop", g, congest.Options{Seed: 77, DropProb: 0.05, MaxRounds: 500}, prog.run)
+			runMatrix(t, prog.name+"/drop", g, congest.Options{Seed: 77, Faults: faultsim.BernoulliDrop{P: 0.05}, MaxRounds: 500}, prog.run)
 		}
 	}
 }
@@ -324,8 +323,9 @@ func TestGoldenFaultedExecution(t *testing.T) {
 // TestGoldenMulticoreFingerprint pins one clean traced run at n = 4096
 // under GOMAXPROCS = 8 with shard rebalancing enabled (the default): the
 // deterministic-event fingerprint, round count, and message totals must be
-// identical across the sequential driver, pool at 1 and 8 workers, and the
-// goroutine-per-vertex driver — and must not drift across PRs. The graph
+// identical across the sequential driver, pool at 1, 4 and 8 workers, and
+// the distributed driver over 8 worker processes — and must not drift
+// across PRs. The graph
 // is deliberately lopsided (a path over the low half, isolated vertices
 // above) so the live set concentrates in the low shards after round 1 and
 // the 8-worker pool actually rebalances mid-run; the test therefore proves
@@ -384,7 +384,7 @@ func TestGoldenMulticoreFingerprint(t *testing.T) {
 // TestCrossDriverGoldenLarge is the n = 2^12 golden check from the issue:
 // sequential vs the worker pool must produce identical Result (Rounds,
 // Messages, TotalBits, Dropped) and identical MIS output for metivier,
-// luby, ghaffari, and the tree algorithm, including a DropProb > 0 case.
+// luby, ghaffari, and the tree algorithm, including a message-drop case.
 func TestCrossDriverGoldenLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large cross-driver sweep skipped in -short mode")
@@ -401,7 +401,10 @@ func TestCrossDriverGoldenLarge(t *testing.T) {
 	}
 	for _, prog := range progs {
 		for _, drop := range []float64{0, 0.02} {
-			seqOpts := congest.Options{Seed: 9, DropProb: drop, MaxRounds: 2000}
+			seqOpts := congest.Options{Seed: 9, MaxRounds: 2000}
+			if drop > 0 {
+				seqOpts.Faults = faultsim.BernoulliDrop{P: drop}
+			}
 			poolOpts := seqOpts
 			pool(&poolOpts)
 			seqSt, seqRes, seqErr := prog.run(g, seqOpts)

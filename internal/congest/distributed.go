@@ -265,7 +265,7 @@ func (d *distRun) start() error {
 			N:               d.r.g.N(),
 			Seed:            d.r.opts.Seed,
 			MessageBitLimit: d.r.opts.MessageBitLimit,
-			Traced:          d.st.full,
+			Traced:          d.st.bus != nil,
 			Layout:          d.r.opts.Layout,
 		}
 		conn, err := d.fleet.Shard(d.cfgs[s])
@@ -411,7 +411,7 @@ func (d *distRun) recoverShard(s, round int) (RoundOutput, error) {
 		d.conns[s] = conn
 		out, err := d.replayAndRedo(s)
 		if err == nil {
-			if d.st.full {
+			if d.st.bus != nil {
 				d.adv = append(d.adv, trace.Event{
 					Type: trace.EvRespawn, Round: int32(round),
 					V: int32(s), X: int64(len(d.logs[s].inputs)),
@@ -509,7 +509,7 @@ func (d *distRun) apply(round int) {
 				sh.liveCount--
 			}
 		}
-		if st.full && d.r.opts.EventTiming {
+		if st.bus != nil && d.r.opts.EventTiming {
 			//lint:advisory frame bytes and round-trip latency are advisory transport measurements, never program logic
 			d.adv = append(d.adv, trace.Event{
 				Type: trace.EvFrame, Round: int32(round), V: int32(s),
@@ -524,7 +524,7 @@ func (d *distRun) apply(round int) {
 // transport measurements, respawns) after delivery, mirroring where the
 // pool driver publishes its timing events.
 func (d *distRun) afterRound(int) {
-	if !d.st.full {
+	if d.st.bus == nil {
 		d.adv = d.adv[:0]
 		return
 	}

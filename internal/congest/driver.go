@@ -9,24 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// PoolRoundMetrics is one round of driver-efficiency telemetry from the
-// sharded worker-pool driver, as delivered to Options.PoolObserver.
-// The slices are indexed by shard and reused between rounds: observers
-// must copy anything they keep.
-type PoolRoundMetrics struct {
-	// Round is the round number (0 = Init).
-	Round int
-	// Live is the number of still-live nodes per shard after the round —
-	// the live-node histogram that reveals shard imbalance as nodes halt.
-	Live []int
-	// Busy is each shard's sweep (node execution) time for the round. A
-	// shard the empty-shard skip never dispatched reports zero.
-	Busy []time.Duration
-	// Merge is the coordinator's delivery time for the round: fault
-	// draws, accounting, and the shard-order outbox merge.
-	Merge time.Duration
-}
-
 // WorkerCount resolves Options.Workers for an n-vertex run: Workers when
 // positive, else GOMAXPROCS, then clamped to at most n so no shard is
 // empty at the start. For n = 0 it returns 1 — the value is then only a
@@ -55,9 +37,8 @@ const cmdMerge = -1
 // runPool executes the program on the sharded worker pool: workerCount
 // long-lived workers each own one contiguous vertex shard and sweep its
 // live nodes every round, with a channel barrier per round (two channel
-// operations per *worker* per round, against two per *vertex* per round
-// for the legacy driver). Delivery happens on the coordinator between
-// rounds — except that on a reliable untraced-flow network the
+// operations per worker per round). Delivery happens on the coordinator
+// between rounds — except that on a reliable network the
 // destination-bucketed merge (deliverBuckets) ships one merge task per
 // shard back to these same workers when volume is high. Between rounds the
 // coordinator may also re-cut the shard ranges by live weight
@@ -131,7 +112,7 @@ func (r *Runner) runPool() (Result, error) {
 	// timing residue. Before dispatch, while every worker is parked, the
 	// coordinator re-cuts skewed shard layouts by live weight.
 	sweep := func(round int) {
-		if round > 0 && !r.opts.NoRebalance {
+		if round > 0 {
 			st.maybeRebalance(round)
 		}
 		dispatched := 0
@@ -154,9 +135,8 @@ func (r *Runner) runPool() (Result, error) {
 
 	// Timing plumbing: wrap deliver timing around the coordinator's merge
 	// and publish one shard-busy event per shard plus the merge duration
-	// on the event bus, ahead of the round-end record. The deprecated
-	// PoolObserver adapter reassembles PoolRoundMetrics from exactly these
-	// events, so its callers see the same per-round numbers as before.
+	// on the event bus, ahead of the round-end record. DriverStats
+	// aggregates exactly these events.
 	var mergeStart time.Time
 	timedSweep := func(round int) {
 		sweep(round)
@@ -178,61 +158,14 @@ func (r *Runner) runPool() (Result, error) {
 	return r.runLoop(st, timedSweep, afterRound)
 }
 
-// runGoroutinePerVertex is the legacy parallel driver: one long-lived
-// goroutine per vertex with a channel round-trip per vertex per round. It
-// is kept as the baseline the pool driver is benchmarked against
-// (BENCH_congest.json, BenchmarkEngineDrivers); its scheduler overhead
-// dominates at large n. Each vertex is its own single-vertex shard, so the
-// shared deliver sees the same shard-ordered outboxes as the other
-// drivers.
-func (r *Runner) runGoroutinePerVertex() (Result, error) {
-	n := r.g.N()
-	st := r.newExecState(n)
-	if n == 0 {
-		return r.runLoop(st, func(int) {}, nil)
-	}
-	starts := make([]chan int, n)
-	done := make(chan struct{}, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for v := 0; v < n; v++ {
-		starts[v] = make(chan int, 1)
-		//lint:advisory legacy per-vertex workers are deterministic by construction: shard-ordered merge makes scheduling invisible
-		go func(sh *shard, start chan int) {
-			defer wg.Done()
-			for round := range start {
-				r.sweepShard(st, sh, round)
-				done <- struct{}{}
-			}
-		}(st.shards[v], starts[v])
-	}
-	defer func() {
-		for _, start := range starts {
-			close(start)
-		}
-		wg.Wait()
-	}()
-
-	sweep := func(round int) {
-		dispatched := 0
-		for v := 0; v < n; v++ {
-			if st.shards[v].liveCount == 0 {
-				continue
-			}
-			starts[v] <- round
-			dispatched++
-		}
-		for i := 0; i < dispatched; i++ {
-			<-done
-		}
-	}
-	return r.runLoop(st, sweep, nil)
-}
-
-// DriverStats aggregates PoolRoundMetrics across a run (or several runs)
-// into the driver-efficiency summary cmd/bench -parallel reports. Plug
-// its Observe method into Options.PoolObserver. Not safe for concurrent
-// use; the engine only calls the observer from the coordinator.
+// DriverStats aggregates the pool driver's timing events across a run (or
+// several runs) into the driver-efficiency summary cmd/bench -parallel
+// reports. It is a trace.Sink: attach it via Options.Events with
+// EventTiming set. It folds trace.EvShardBusy and trace.EvMerge events and
+// closes a round on trace.EvRoundEnd only when that round produced timing
+// events, so drivers that emit none (the sequential driver) leave it
+// empty. Not safe for concurrent use; the engine emits from the
+// coordinator only.
 type DriverStats struct {
 	// Rounds is the number of observed rounds (Init included).
 	Rounds int
@@ -255,44 +188,57 @@ type DriverStats struct {
 	// LiveMax and LiveMin sum each round's largest and smallest per-shard
 	// live count; their ratio exposes shard imbalance as nodes halt.
 	LiveMax, LiveMin int64
+
+	// The open round: whether it produced timing events, and its shard
+	// count, critical path, dispatched shards and live-count extremes.
+	timed              bool
+	shards, dispatched int
+	max                time.Duration
+	liveLo, liveHi     int
 }
 
-// Observe folds one round of metrics into the aggregate. A shard counts as
-// dispatched for the round when it reported sweep time or still holds live
-// nodes — the frontier never regrows, so a shard with neither was skipped
-// by the coordinator.
-func (d *DriverStats) Observe(m PoolRoundMetrics) {
-	d.Rounds++
-	if len(m.Busy) > d.Workers {
-		d.Workers = len(m.Busy)
-	}
-	var max time.Duration
-	dispatched := 0
-	for i, b := range m.Busy {
-		d.Busy += b
-		if b > max {
-			max = b
+// Emit folds one event into the aggregate. A shard counts as dispatched
+// for the round when it reported sweep time or still holds live nodes —
+// the frontier never regrows, so a shard with neither was skipped by the
+// coordinator.
+func (d *DriverStats) Emit(e trace.Event) {
+	switch e.Type {
+	case trace.EvShardBusy:
+		busy, live := time.Duration(e.X), int(e.Y)
+		d.Busy += busy
+		if d.shards == 0 || live < d.liveLo {
+			d.liveLo = live
 		}
-		if b > 0 || (i < len(m.Live) && m.Live[i] > 0) {
-			dispatched++
+		if d.shards == 0 || live > d.liveHi {
+			d.liveHi = live
 		}
-	}
-	d.Critical += max
-	d.DispatchedCritical += time.Duration(dispatched) * max
-	if len(m.Live) > 0 {
-		lo, hi := m.Live[0], m.Live[0]
-		for _, l := range m.Live[1:] {
-			if l < lo {
-				lo = l
-			}
-			if l > hi {
-				hi = l
-			}
+		if busy > d.max {
+			d.max = busy
 		}
-		d.LiveMax += int64(hi)
-		d.LiveMin += int64(lo)
+		if busy > 0 || live > 0 {
+			d.dispatched++
+		}
+		d.shards++
+		d.timed = true
+	case trace.EvMerge:
+		d.Merge += time.Duration(e.X)
+		d.timed = true
+	case trace.EvRoundEnd:
+		if !d.timed {
+			return
+		}
+		d.Rounds++
+		if d.shards > d.Workers {
+			d.Workers = d.shards
+		}
+		d.Critical += d.max
+		d.DispatchedCritical += time.Duration(d.dispatched) * d.max
+		if d.shards > 0 {
+			d.LiveMax += int64(d.liveHi)
+			d.LiveMin += int64(d.liveLo)
+		}
+		d.timed, d.shards, d.dispatched, d.max = false, 0, 0, 0
 	}
-	d.Merge += m.Merge
 }
 
 // Efficiency returns sweep-parallelism efficiency in (0, 1]: total busy

@@ -2,7 +2,7 @@ package congest
 
 // Engine-level fault-injection tests: the faultsim.Plan hooks as seen from
 // the runner — crash skips, retirement, delayed delivery, receiver-crash
-// loss, and DropProb back-compat. Cross-driver bit-identity of faulted
+// loss, and composed plans. Cross-driver bit-identity of faulted
 // runs is covered separately by crossdriver_test.go.
 
 import (
@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultsim"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // recorder logs the round of every received message and runs until told
@@ -105,43 +106,24 @@ func TestDelayKDefersDelivery(t *testing.T) {
 	}
 }
 
-func TestDropProbMatchesBernoulliPlan(t *testing.T) {
-	run := func(opts Options) (Result, []int) {
-		g := pair(t)
-		opts.Seed = 9
-		r := NewRunner(g, func(int) Node { return &recorder{stopAt: 30} }, opts)
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, r.Node(0).(*recorder).arrivals
-	}
-	legacyRes, legacyArr := run(Options{DropProb: 0.3})
-	planRes, planArr := run(Options{Faults: faultsim.BernoulliDrop{P: 0.3}})
-	if legacyRes != planRes {
-		t.Fatalf("DropProb %+v != BernoulliDrop %+v", legacyRes, planRes)
-	}
-	if legacyRes.Dropped == 0 {
-		t.Fatal("no drops at p=0.3 over 30 rounds")
-	}
-	if len(legacyArr) != len(planArr) {
-		t.Fatalf("arrival traces differ: %d vs %d", len(legacyArr), len(planArr))
-	}
-	for i := range legacyArr {
-		if legacyArr[i] != planArr[i] {
-			t.Fatalf("arrival %d differs: round %d vs %d", i, legacyArr[i], planArr[i])
-		}
-	}
-}
-
-func TestDropProbComposesUnderExplicitPlan(t *testing.T) {
-	// Both knobs set: the Bernoulli layer and the burst layer must both
-	// apply. Dropping everything via the burst makes the expectation exact.
+func TestBernoulliDropComposesWithLinkBurst(t *testing.T) {
+	// A Bernoulli layer composed ahead of a burst layer: both must apply.
+	// The Bernoulli layer draws from the fault stream for every message,
+	// and the burst covering every round drops whatever it lets through,
+	// which makes the expectation exact.
 	g := pair(t)
+	var faultDraws int64
 	r := NewRunner(g, func(int) Node { return &recorder{stopAt: 4} }, Options{
-		Seed:     3,
-		DropProb: 0.5,
-		Faults:   faultsim.NewLinkBurst(faultsim.BothWays([][2]int{{0, 1}}), 0, 100),
+		Seed: 3,
+		Faults: faultsim.Compose(
+			faultsim.BernoulliDrop{P: 0.5},
+			faultsim.NewLinkBurst(faultsim.BothWays([][2]int{{0, 1}}), 0, 100),
+		),
+		Events: sinkFunc(func(e trace.Event) {
+			if e.Type == trace.EvRNG {
+				faultDraws += e.Y
+			}
+		}),
 	})
 	res, err := r.Run()
 	if err != nil {
@@ -150,8 +132,12 @@ func TestDropProbComposesUnderExplicitPlan(t *testing.T) {
 	if res.Messages != 0 {
 		t.Fatalf("burst covering every round delivered %d messages", res.Messages)
 	}
-	if res.Dropped == 0 {
-		t.Fatal("nothing dropped")
+	// Each node broadcasts in Init and rounds 1..3: 8 sends, all lost.
+	if res.Dropped != 8 {
+		t.Fatalf("dropped %d, want all 8 sends", res.Dropped)
+	}
+	if faultDraws != 8 {
+		t.Fatalf("Bernoulli layer drew %d times, want once per message (8)", faultDraws)
 	}
 }
 
@@ -159,9 +145,9 @@ func TestObserverCountsSendsOnceUnderDelay(t *testing.T) {
 	g := pair(t)
 	var sends int64
 	r := NewRunner(g, func(int) Node { return &recorder{stopAt: 5} }, Options{
-		Seed:     1,
-		Faults:   faultsim.DelayK{K: 1},
-		Observer: func(_, _ int, sent int64) { sends += sent },
+		Seed:   1,
+		Faults: faultsim.DelayK{K: 1},
+		Events: roundEndSink(func(_, _ int, sent int64) { sends += sent }),
 	})
 	res, err := r.Run()
 	if err != nil {

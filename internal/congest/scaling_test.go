@@ -129,18 +129,17 @@ func TestWorkerCountEdgeCases(t *testing.T) {
 // the other three skipped — must report efficiency 1.0; the old
 // Workers × Critical formula reported 50ms/80ms = 0.625.
 func TestEfficiencyDispatchedShards(t *testing.T) {
-	var d DriverStats
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	d.Observe(PoolRoundMetrics{
-		Round: 0,
-		Busy:  []time.Duration{ms(10), ms(10), ms(10), ms(10)},
-		Live:  []int{10, 10, 10, 10},
-	})
-	d.Observe(PoolRoundMetrics{
-		Round: 1,
-		Busy:  []time.Duration{ms(10), 0, 0, 0}, // shards 1-3 skipped
-		Live:  []int{5, 0, 0, 0},
-	})
+	// round feeds one round of pool timing events, closed by round-end.
+	round := func(d *DriverStats, busy []time.Duration, live []int) {
+		for s := range busy {
+			d.Emit(trace.Event{Type: trace.EvShardBusy, V: int32(s), X: int64(busy[s]), Y: int64(live[s])})
+		}
+		d.Emit(trace.Event{Type: trace.EvRoundEnd})
+	}
+	var d DriverStats
+	round(&d, []time.Duration{ms(10), ms(10), ms(10), ms(10)}, []int{10, 10, 10, 10})
+	round(&d, []time.Duration{ms(10), 0, 0, 0}, []int{5, 0, 0, 0}) // shards 1-3 skipped
 	if d.Workers != 4 {
 		t.Fatalf("Workers = %d, want 4", d.Workers)
 	}
@@ -153,20 +152,14 @@ func TestEfficiencyDispatchedShards(t *testing.T) {
 	// A genuinely unbalanced round still scores below 1: two dispatched
 	// shards, one twice as slow.
 	var u DriverStats
-	u.Observe(PoolRoundMetrics{
-		Busy: []time.Duration{ms(10), ms(20), 0},
-		Live: []int{4, 4, 0},
-	})
+	round(&u, []time.Duration{ms(10), ms(20), 0}, []int{4, 4, 0})
 	if e := u.Efficiency(); e != 0.75 {
 		t.Fatalf("unbalanced Efficiency = %v, want 0.75", e)
 	}
 	// A dispatched shard that halted everything this round (live 0 after,
 	// busy > 0) still counts as dispatched.
 	var h DriverStats
-	h.Observe(PoolRoundMetrics{
-		Busy: []time.Duration{ms(10), ms(10)},
-		Live: []int{0, 0},
-	})
+	round(&h, []time.Duration{ms(10), ms(10)}, []int{0, 0})
 	if e := h.Efficiency(); e != 1.0 {
 		t.Fatalf("final-round Efficiency = %v, want 1.0", e)
 	}
@@ -198,8 +191,7 @@ func (s *skewHalter) Round(ctx *Context, _ []Message) {
 // TestRebalanceTriggersAndPreservesDeterminism runs the skewed workload on
 // the pool driver and requires (a) that rebalancing actually fired, (b)
 // that the deterministic event fingerprint, Result, and round count are
-// identical to the sequential driver and to the pool with rebalancing
-// disabled, and (c) that the post-run shard ranges still partition [0, n).
+// identical to the sequential driver, which never rebalances.
 func TestRebalanceTriggersAndPreservesDeterminism(t *testing.T) {
 	const n = 4096
 	g := ringGraph(n)
@@ -226,15 +218,11 @@ func TestRebalanceTriggersAndPreservesDeterminism(t *testing.T) {
 	if poolReb == 0 {
 		t.Fatal("pool driver never rebalanced on a skewed workload")
 	}
-	offRes, offFP, offReb := run(Options{Driver: DriverPool, Workers: 4, NoRebalance: true})
-	if offReb != 0 {
-		t.Fatalf("NoRebalance run still rebalanced %d times", offReb)
+	if poolRes != seqRes {
+		t.Fatalf("Results diverge: seq %+v, pool %+v", seqRes, poolRes)
 	}
-	if poolRes != seqRes || offRes != seqRes {
-		t.Fatalf("Results diverge: seq %+v, pool %+v, pool-norebalance %+v", seqRes, poolRes, offRes)
-	}
-	if poolFP != seqFP || offFP != seqFP {
-		t.Fatalf("fingerprints diverge: seq %#x, pool %#x, pool-norebalance %#x", seqFP, poolFP, offFP)
+	if poolFP != seqFP {
+		t.Fatalf("fingerprints diverge: seq %#x, pool %#x", seqFP, poolFP)
 	}
 }
 
@@ -258,7 +246,7 @@ func (s countingSink) Emit(e trace.Event) {
 func TestRebalancePartitionInvariants(t *testing.T) {
 	const n = 2048
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Parallel: true,
+		Seed: 1, Driver: DriverPool,
 	})
 	st := r.newExecState(4)
 	// Manufacture heavy skew: clear every bit outside [0, n/8).
@@ -324,7 +312,7 @@ func TestRebalancePartitionInvariants(t *testing.T) {
 func TestRebalanceBelowThresholdIsNoop(t *testing.T) {
 	const n = 128 // 4 shards × 32 vertices < rebalanceMinPerShard each
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Parallel: true,
+		Seed: 1, Driver: DriverPool,
 	})
 	st := r.newExecState(4)
 	st.maybeRebalance(1)
@@ -333,7 +321,7 @@ func TestRebalanceBelowThresholdIsNoop(t *testing.T) {
 	}
 	// Plenty of work but perfectly balanced: still a no-op.
 	r2 := NewRunner(ringGraph(1024), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Parallel: true,
+		Seed: 1, Driver: DriverPool,
 	})
 	st2 := r2.newExecState(4)
 	st2.maybeRebalance(1)

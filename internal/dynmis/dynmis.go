@@ -38,11 +38,9 @@ type Options struct {
 	// Seed is the engine's root seed: repair run b draws its CONGEST seed
 	// from (Seed, b), so the whole stream's randomness derives from it.
 	Seed uint64
-	// Driver selects the CONGEST driver for repair runs (DriverAuto picks
-	// sequential, or the pool when Parallel is set).
+	// Driver selects the CONGEST driver for repair runs (zero value:
+	// sequential).
 	Driver congest.DriverKind
-	// Parallel selects the sharded worker-pool driver for repair runs.
-	Parallel bool
 	// Workers is the pool driver's worker count (0 = GOMAXPROCS).
 	Workers int
 	// MaxRounds caps each repair run (0 = the CONGEST default).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/dynmis"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -103,7 +104,7 @@ func TestPropertyCrossDriver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool, err := dynmis.New(g, dynmis.Options{Seed: seed, Parallel: true, Workers: 3})
+			pool, err := dynmis.New(g, dynmis.Options{Seed: seed, Driver: congest.DriverPool, Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,7 @@ type AllocBenchReport struct {
 	SequentialSpeedup float64 `json:"sequential_speedup,omitempty"`
 }
 
-// RunAllocBench measures every engine driver's allocation profile on the
+// RunAllocBench measures the in-process drivers' allocation profile on the
 // same pinned workload as RunEngineBench — Métivier MIS on
 // UnionOfTrees(n, 2) at the given seed — so BENCH_alloc.json is directly
 // comparable to BENCH_congest.json. Per driver it records best-of-reps
@@ -81,24 +81,16 @@ func RunAllocBench(n int, seed uint64, reps int, baselineMsgsPerSec float64) (*A
 		GoMaxProcs:             runtime.GOMAXPROCS(0),
 		BaselineMessagesPerSec: baselineMsgsPerSec,
 	}
-	drivers := []struct {
-		kind    congest.DriverKind
-		workers int
-	}{
-		{congest.DriverSequential, 0},
-		{congest.DriverPool, 0},
-		{congest.DriverGoroutinePerVertex, 0},
-	}
 	var ref *congest.Result
 	var ms runtime.MemStats
-	for _, d := range drivers {
-		entry := AllocBenchEntry{Driver: d.kind.String()}
-		if d.kind == congest.DriverPool {
-			entry.Workers = congest.Options{Workers: d.workers}.WorkerCount(n)
+	for _, kind := range []congest.DriverKind{congest.DriverSequential, congest.DriverPool} {
+		entry := AllocBenchEntry{Driver: kind.String()}
+		if kind == congest.DriverPool {
+			entry.Workers = congest.Options{}.WorkerCount(n)
 		}
 		var best time.Duration
 		for rep := 0; rep < reps; rep++ {
-			opts := congest.Options{Seed: seed, Driver: d.kind, Workers: d.workers}
+			opts := congest.Options{Seed: seed, Driver: kind}
 			// Settle the heap so the MemStats delta is the run's own work,
 			// not a GC cycle that happened to land inside it.
 			runtime.GC()
@@ -109,13 +101,13 @@ func RunAllocBench(n int, seed uint64, reps int, baselineMsgsPerSec float64) (*A
 			wall := time.Since(start)
 			runtime.ReadMemStats(&ms)
 			if err != nil {
-				return nil, fmt.Errorf("alloc bench: %s: %w", d.kind, err)
+				return nil, fmt.Errorf("alloc bench: %s: %w", kind, err)
 			}
 			if ref == nil {
 				r := res
 				ref = &r
 			} else if res != *ref {
-				return nil, fmt.Errorf("alloc bench: %s diverged: %+v != %+v", d.kind, res, *ref)
+				return nil, fmt.Errorf("alloc bench: %s diverged: %+v != %+v", kind, res, *ref)
 			}
 			allocs, alloced := ms.Mallocs-mallocs, ms.TotalAlloc-bytes
 			if rep == 0 || wall < best {
@@ -136,7 +128,7 @@ func RunAllocBench(n int, seed uint64, reps int, baselineMsgsPerSec float64) (*A
 		if secs := best.Seconds(); secs > 0 {
 			entry.MessagesPerSec = float64(entry.Messages) / secs
 		}
-		if d.kind == congest.DriverSequential && baselineMsgsPerSec > 0 {
+		if kind == congest.DriverSequential && baselineMsgsPerSec > 0 {
 			report.SequentialSpeedup = entry.MessagesPerSec / baselineMsgsPerSec
 		}
 		report.Drivers = append(report.Drivers, entry)

@@ -29,13 +29,16 @@ type Config struct {
 	Seeds int
 	// Quick shrinks sweeps for tests and smoke runs.
 	Quick bool
-	// Parallel selects the sharded worker-pool driver for the runs.
-	Parallel bool
+	// Driver selects the engine driver for the runs (zero value:
+	// sequential).
+	Driver congest.DriverKind
 	// Workers is the pool driver's shard count (0 = GOMAXPROCS).
 	Workers int
-	// PoolStats, when non-nil and Parallel is set, accumulates the pool
-	// driver's per-round efficiency metrics across every run the config
-	// spawns (cmd/bench -parallel reports the aggregate).
+	// PoolStats, when non-nil, accumulates the pool driver's per-round
+	// efficiency metrics across every run the config spawns (cmd/bench
+	// -parallel reports the aggregate). It rides the event stream with
+	// timing events on; the sequential driver emits none, so it stays
+	// empty there.
 	PoolStats *congest.DriverStats
 	// Events, when non-nil, receives the execution-trace event stream of
 	// every run the config spawns (cmd/bench -trace streams them all to
@@ -63,15 +66,26 @@ func (c Config) seeds() int {
 // opts builds engine options for replication i of a labeled sub-experiment.
 func (c Config) opts(label uint64, i int) congest.Options {
 	o := congest.Options{
-		Seed:     rng.New(c.Seed).Split(label).Split(uint64(i)).Uint64(),
-		Parallel: c.Parallel,
-		Workers:  c.Workers,
+		Seed:    rng.New(c.Seed).Split(label).Split(uint64(i)).Uint64(),
+		Driver:  c.Driver,
+		Workers: c.Workers,
+		Events:  c.Events,
 	}
-	if c.Parallel && c.PoolStats != nil {
-		o.PoolObserver = c.PoolStats.Observe
+	if c.PoolStats != nil {
+		o.Events = withSink(o.Events, c.PoolStats)
+		o.EventTiming = true
 	}
-	o.Events = c.Events
 	return o
+}
+
+// withSink adds sink to a run's event stream: it becomes the stream when
+// none is attached, and otherwise rides a fanoutSink behind the existing
+// one.
+func withSink(events, sink trace.Sink) trace.Sink {
+	if events == nil {
+		return sink
+	}
+	return fanoutSink{events, sink}
 }
 
 // graphRNG derives the generator stream for a labeled sub-experiment.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/core"
+	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mis/luby"
 	"repro/internal/mis/metivier"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // E13DegreeReduction measures the §3.3 preprocessing (Barenboim et al.
@@ -101,7 +103,7 @@ func E14RoundDecay(c Config) (*Report, error) {
 			g := arbGraph(n, 3, c.graphRNG(label, i))
 			opts := c.opts(label, i)
 			cross := map[string]int{}
-			opts.Observer = func(round, live int, _ int64) {
+			opts.Events = withSink(opts.Events, roundEndSink(func(round, live int) {
 				frac := float64(live) / float64(n)
 				for _, mark := range []struct {
 					key string
@@ -111,7 +113,7 @@ func E14RoundDecay(c Config) (*Report, error) {
 						cross[mark.key] = round
 					}
 				}
-			}
+			}))
 			if err := algo.run(g, opts); err != nil {
 				return nil, fmt.Errorf("E14: %s: %w", algo.name, err)
 			}
@@ -128,6 +130,18 @@ func E14RoundDecay(c Config) (*Report, error) {
 		Table: table,
 	}
 	return rep, nil
+}
+
+// roundEndSink is a per-round hook over the event stream: it calls the
+// function on every round-end event with the round number (0 = Init) and
+// the count of nodes still live after it.
+type roundEndSink func(round, live int)
+
+// Emit implements trace.Sink.
+func (f roundEndSink) Emit(e trace.Event) {
+	if e.Type == trace.EvRoundEnd {
+		f(int(e.Round), int(e.V))
+	}
 }
 
 // A4Reliability ablates CONGEST's reliable-delivery assumption: with
@@ -160,7 +174,11 @@ func A4Reliability(c Config) (*Report, error) {
 			for i := 0; i < runs; i++ {
 				g := arbGraph(n, 2, c.graphRNG(label, i))
 				opts := c.opts(label, i)
-				opts.DropProb = drop
+				if drop > 0 {
+					// A zero-probability plan is not "no plan": it would
+					// split a fault stream and force single-bucket delivery.
+					opts.Faults = faultsim.BernoulliDrop{P: drop}
+				}
 				opts.MaxRounds = 3000
 				statuses, err := algo.run(g, opts)
 				switch {

@@ -4,13 +4,12 @@
 // plan on the coordinator during delivery — in global ascending-sender
 // order, from a dedicated fault RNG stream split from the run seed — so a
 // faulted execution is bit-identical across the sequential, worker-pool,
-// and goroutine-per-vertex drivers, exactly like a clean one.
+// and distributed drivers, exactly like a clean one.
 //
-// The package generalizes the engine's original single uniform DropProb
-// knob into structured, composable fault models:
+// The package provides structured, composable fault models:
 //
 //   - BernoulliDrop: each message lost independently with probability P
-//     (the back-compat implementation of Options.DropProb);
+//     (uniform message loss);
 //   - LinkBurst: a chosen set of directed links goes dark for a round
 //     window, modelling a flapping cable or a jammed radio cell;
 //   - Partition: the vertex set is bipartitioned and all cross-side
@@ -113,10 +112,8 @@ type upOnly struct{}
 // Vertex reports every vertex up.
 func (upOnly) Vertex(int, int) VertexFate { return VertexUp }
 
-// BernoulliDrop drops each message independently with probability P. It
-// reproduces the engine's legacy Options.DropProb behaviour bit-for-bit:
-// one Bool(P) draw per message from the fault stream, in global sender
-// order.
+// BernoulliDrop drops each message independently with probability P: one
+// Bool(P) draw per message from the fault stream, in global sender order.
 type BernoulliDrop struct {
 	upOnly
 	// P is the per-message loss probability, clamped to [0, 1].

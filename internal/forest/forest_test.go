@@ -221,7 +221,7 @@ func TestParallelDriverIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Decompose(g, 2, congest.Options{Seed: 3, Parallel: true})
+	b, _, err := Decompose(g, 2, congest.Options{Seed: 3, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

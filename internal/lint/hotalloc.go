@@ -45,9 +45,9 @@ var HotallocAnalyzer = &Analyzer{
 }
 
 // hotCallDepth bounds the callee traversal from each hot-path root. The
-// engine's real chains are depth ≤ 2 (deliver → drainShardEvents →
-// noteFlow); the bound exists so a pathological call web cannot stall
-// the analyzer, and exceeding it is reported rather than ignored.
+// engine's real chains are depth ≤ 2 (deliver → admit → deposit); the
+// bound exists so a pathological call web cannot stall the analyzer, and
+// exceeding it is reported rather than ignored.
 const hotCallDepth = 4
 
 func runHotalloc(pass *Pass) {

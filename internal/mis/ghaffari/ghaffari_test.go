@@ -54,7 +54,7 @@ func TestParallelDriverIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parRes, err := Run(g, congest.Options{Seed: 5, Parallel: true})
+	par, parRes, err := Run(g, congest.Options{Seed: 5, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

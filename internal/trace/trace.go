@@ -15,9 +15,9 @@
 //
 //   - deterministic events (round boundaries, counters, fault fates, node
 //     transitions, halts, RNG draw totals) are bit-identical across the
-//     sequential, worker-pool, and goroutine-per-vertex drivers for the
-//     same seed — they are covered by Fingerprint and compared by Bisect;
-//   - advisory events (shard timings, merge time, per-shard message flow)
+//     sequential, worker-pool, and distributed drivers for the same seed —
+//     they are covered by Fingerprint and compared by Bisect;
+//   - advisory events (shard timings, merge time, rebalances, frames)
 //     describe how a particular driver executed the run and legitimately
 //     differ between drivers; Fingerprint and Bisect ignore them.
 //
@@ -65,7 +65,8 @@ const (
 	EvRoundEnd
 	// EvShardFlow is the advisory per-shard traffic matrix entry:
 	// V = sender shard, W = recipient shard, X = messages sent this round
-	// on that pair. Shard boundaries depend on the driver.
+	// on that pair. The engine no longer emits it; the value is kept so
+	// the Type numbering (and with it every fingerprint) stays stable.
 	EvShardFlow
 	// EvShardBusy is the advisory per-shard sweep timing from the pool
 	// driver: V = shard, X = busy nanoseconds, Y = live nodes in the shard.

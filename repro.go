@@ -12,10 +12,10 @@
 //     analysis);
 //   - the experiment drivers that regenerate every table in EXPERIMENTS.md.
 //
-// Everything runs on the in-repo CONGEST simulator: pass Options{Parallel:
-// true} to execute on the sharded worker-pool driver (one worker per CPU,
-// each owning a contiguous vertex shard), which is bit-identical to the
-// sequential driver for the same seed.
+// Everything runs on the in-repo CONGEST simulator: pass Options{Driver:
+// DriverPool} to execute on the sharded worker-pool driver (one worker per
+// CPU, each owning a contiguous vertex shard), which is bit-identical to
+// the sequential driver for the same seed.
 package repro
 
 import (
@@ -33,6 +33,7 @@ import (
 	"repro/internal/mis/tree"
 	"repro/internal/readk"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // Re-exported core types. See the internal packages for full documentation.
@@ -55,8 +56,12 @@ type (
 	// constants).
 	DriverKind = congest.DriverKind
 	// DriverStats aggregates the worker-pool driver's efficiency metrics;
-	// plug its Observe method into Options.PoolObserver.
+	// attach it as Options.Events with Options.EventTiming set.
 	DriverStats = congest.DriverStats
+	// TraceEvent is one typed execution event (see EvRoundEnd).
+	TraceEvent = trace.Event
+	// TraceSink receives a run's execution events via Options.Events.
+	TraceSink = trace.Sink
 	// Family is a read-k family of boolean variables.
 	Family = readk.Family
 	// Report is a regenerated experiment table.
@@ -71,18 +76,19 @@ const (
 	StatusDominated = base.StatusDominated
 )
 
-// Engine drivers. Options{Parallel: true} selects DriverPool; set
-// Options.Driver for an explicit choice.
+// Engine drivers, selected by Options.Driver.
 const (
-	// DriverSequential sweeps vertices in ID order on one goroutine.
+	// DriverSequential sweeps vertices in ID order on one goroutine. This
+	// is the zero value.
 	DriverSequential = congest.DriverSequential
 	// DriverPool is the sharded worker-pool driver (GOMAXPROCS workers by
 	// default; override with Options.Workers).
 	DriverPool = congest.DriverPool
-	// DriverGoroutinePerVertex is the legacy one-goroutine-per-node
-	// driver, kept as a benchmark baseline.
-	DriverGoroutinePerVertex = congest.DriverGoroutinePerVertex
 )
+
+// EvRoundEnd is the per-round hook a TraceSink keys on: it closes every
+// round (0 = Init) with Round, V = nodes still live, X = messages sent.
+const EvRoundEnd = trace.EvRoundEnd
 
 // NewGraph builds a graph on n vertices from an edge list (self-loops and
 // out-of-range endpoints rejected, duplicates merged).
