@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke perfbench-check ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
+.PHONY: build test vet misvet race cover alloc-gate smoke perfbench-check ci bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
 
 build:
 	go build ./...
@@ -65,33 +65,18 @@ cover:
 alloc-gate:
 	go test -run '^TestSteadyStateRound' -count=1 ./internal/congest/
 
-# Scaling smoke: the E19 slice of the cores × n matrix at test size —
-# sequential + pool at two worker counts, fingerprints forced identical
-# (any divergence fails the run). Fast (< 1s); runs in ci. The full
-# production trajectory is `make bench-scale`.
-scale-smoke:
-	go run ./cmd/bench -quick -only E19
-
-# Dynamic-MIS smoke: the E20 slice at test size — incremental repair vs
-# full recompute on a generated update stream, with the sequential/pool
-# stream-fingerprint equality enforced inside the driver. Fast (< 1s);
-# runs in ci. The full trajectory is `make bench-dynmis`.
-dynmis-smoke:
-	go run ./cmd/bench -quick -only E20
-
-# Distributed-driver smoke: the E21 slice at test size — shard workers in
-# separate OS processes over unix sockets, every fleet shape forced to
-# reproduce the sequential fingerprint bit-for-bit, clean and faulted.
-# Fast (< 2s); runs in ci. The full trajectory is `make bench-dist`.
-dist-smoke:
-	go run ./cmd/bench -quick -only E21
-
-# Layout smoke: the E22 slice of the layout × family matrix at test size —
-# every ordering over scrambled inputs, with the within-layout
-# sequential/pool fingerprint equality enforced inside the driver. Fast
-# (< 1s); runs in ci. The full matrix is `make bench-layout`.
-layout-smoke:
-	go run ./cmd/bench -quick -only E22
+# Benchmark smoke: the performance experiments at test size in one
+# compile — E17 tracing modes and E18 allocation profile (counters and
+# fingerprints agree across modes/drivers), E19 scaling (sequential + pool
+# at two worker counts, clean and faulted fingerprints forced identical),
+# E20 dynamic MIS (sequential/pool stream-fingerprint equality), E21
+# distributed driver (shard worker processes over unix sockets reproduce
+# the sequential fingerprint, clean and faulted) and E22 layouts
+# (within-layout sequential/pool fingerprint equality). Any divergence
+# fails the run. Fast (a few seconds); runs in ci. The full trajectories
+# are the bench-* targets below.
+smoke:
+	go run ./cmd/bench -quick -only E17,E18,E19,E20,E21,E22
 
 # Benchmark build check: perfbench/ is its own module (it requires this
 # one through a replace directive), so the root `go build ./...` never
@@ -102,32 +87,26 @@ perfbench-check:
 
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
-# floors, allocation gate, multicore-scaling smoke, dynamic-MIS smoke,
-# distributed-driver smoke, layout smoke, benchmark build check.
-ci: test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke perfbench-check
-
-# Refresh the seed-pinned driver throughput trajectory consumed by future
-# PRs (rounds/sec and messages/sec per driver at n = 2^14).
-bench-engine:
-	go run ./cmd/bench -engine-bench BENCH_congest.json
+# floors, allocation gate, benchmark smoke (E17–E22), benchmark build
+# check.
+ci: test vet misvet race cover alloc-gate smoke perfbench-check
 
 # Refresh the seed-pinned fault-tolerance sweep (safety must hold at every
 # fault intensity; rounds and coverage are the recorded trajectory).
 bench-faults:
 	go run ./cmd/bench -faults BENCH_faults.json
 
-# Refresh the seed-pinned tracing-overhead trajectory (E17: the ring
-# recorder must stay within 15% wall-clock overhead at n = 2^14 on the
-# pool driver; off / ring / JSONL are the recorded modes).
+# Refresh the seed-pinned tracing-overhead trajectory (E17: off / ring /
+# JSONL are the recorded modes; the ring recorder must stay within 15%
+# wall-clock overhead at n = 2^14 on the pool driver or the run fails).
 bench-trace:
 	go run ./cmd/bench -trace-bench BENCH_trace.json
 
 # Refresh the seed-pinned allocation trajectory (E18: allocations and
 # bytes per run, allocations per message, messages/sec per driver at
-# n = 2^14, with the sequential speedup over the PR-1 BENCH_congest.json
-# baseline embedded in the artifact).
+# n = 2^14).
 bench-alloc:
-	go run ./cmd/bench -alloc-bench BENCH_alloc.json -alloc-baseline BENCH_congest.json
+	go run ./cmd/bench -alloc-bench BENCH_alloc.json
 
 # Refresh the seed-pinned cores × n scaling trajectory (E19 / DESIGN.md
 # S27: sequential + pool at workers ∈ {1,2,4,8,GOMAXPROCS} across
@@ -158,10 +137,11 @@ bench-dist:
 
 # Refresh the seed-pinned layout-locality trajectory (E22 / DESIGN.md S30:
 # identity vs degsort vs bfs over scrambled union / powerlaw / grid at
-# n ∈ {2^16, 2^18, 2^20}; within every cell the sequential and pool
-# fingerprints are forced identical, and the best non-identity layout on
-# the densest family at the largest n must beat identity by ≥ 1.15x or
-# the run fails).
+# n ∈ {2^16, 2^18, 2^20}, timed on the sequential driver and the pool at
+# 4 workers; within every layout the sequential and pool fingerprints are
+# forced identical, and the best non-identity sequential layout on the
+# densest family at the largest n must beat identity by ≥ 1.15x or the
+# run fails).
 bench-layout:
 	go run ./cmd/bench -layout-bench BENCH_layout.json
 

@@ -154,12 +154,12 @@ func RunDistBench(n int, shardSet []int, seed uint64, reps int) (*DistBenchRepor
 		return nil, fmt.Errorf("dist bench: sequential: %w", err)
 	}
 	report.SequentialWallNS = time.Since(seqStart).Nanoseconds()
-	report.SequentialFingerprint = fmt.Sprintf("%#x", seqFP)
+	report.SequentialFingerprint = fingerprintHex(seqFP)
 	seqFPFault, _, err := distFingerprint(g, congest.Options{Seed: seed, Faults: plan, MaxRounds: 4 * n}, factory)
 	if err != nil {
 		return nil, fmt.Errorf("dist bench: sequential faulted: %w", err)
 	}
-	report.SequentialFingerprintFault = fmt.Sprintf("%#x", seqFPFault)
+	report.SequentialFingerprintFault = fingerprintHex(seqFPFault)
 
 	for _, shards := range shardSet {
 		entry := DistBenchEntry{Shards: shards}
@@ -211,7 +211,7 @@ func RunDistBench(n int, shardSet []int, seed uint64, reps int) (*DistBenchRepor
 		if bestFrames.frames > 0 {
 			entry.MeanRTTNanos = bestFrames.rtt / bestFrames.frames
 		}
-		entry.FingerprintClean = fmt.Sprintf("%#x", cleanFP)
+		entry.FingerprintClean = fingerprintHex(cleanFP)
 		entry.CleanMatch = cleanFP == seqFP && cleanRes == seqRes
 		if !entry.CleanMatch {
 			return nil, fmt.Errorf("dist bench: shards=%d: clean run diverged from sequential (fp %s vs %s)",
@@ -234,7 +234,7 @@ func RunDistBench(n int, shardSet []int, seed uint64, reps int) (*DistBenchRepor
 		if err != nil {
 			return nil, fmt.Errorf("dist bench: faulted shards=%d: %w", shards, err)
 		}
-		entry.FingerprintFaulted = fmt.Sprintf("%#x", rec.Fingerprint())
+		entry.FingerprintFaulted = fingerprintHex(rec.Fingerprint())
 		entry.FaultedMatch = rec.Fingerprint() == seqFPFault
 		if !entry.FaultedMatch {
 			return nil, fmt.Errorf("dist bench: shards=%d: faulted run diverged from sequential (fp %s vs %s)",
@@ -260,29 +260,34 @@ func E21DistributedDriver(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := stats.NewTable(
-		fmt.Sprintf("distributed driver vs sequential, metivier, n=%d", n),
-		"shards", "transport", "rounds", "messages", "frameKB/round", "rtt µs", "clean", "faulted")
-	for _, e := range report.Entries {
-		verdict := func(ok bool) string {
-			if ok {
-				return "match"
-			}
-			return "DIVERGED"
-		}
-		table.AddRow(e.Shards, e.Transport, e.Rounds, e.Messages,
-			fmt.Sprintf("%.1f", e.FrameBytesPerRound/1024),
-			fmt.Sprintf("%.0f", float64(e.MeanRTTNanos)/1e3),
-			verdict(e.CleanMatch), verdict(e.FaultedMatch))
-	}
 	return &Report{
 		ID:    "E21",
 		Title: "distributed multi-process driver: bit-identical with sequential over sockets",
-		Table: table,
+		Table: report.Table(),
 		Notes: []string{
 			fmt.Sprintf("deterministic fingerprint %s reproduced by every fleet shape, clean and faulted (plan: drop 2%% + crash windows)",
 				report.SequentialFingerprint),
 			"fault/RNG draws stay on the coordinator in global sender order; workers are pure functions of (config, input sequence)",
 		},
 	}, nil
+}
+
+// Table renders one row per fleet shape with its fingerprint verdicts.
+func (r *DistBenchReport) Table() *stats.Table {
+	table := stats.NewTable(
+		fmt.Sprintf("distributed driver vs sequential, metivier, n=%d", r.N),
+		"shards", "transport", "rounds", "messages", "frameKB/round", "rtt µs", "clean", "faulted")
+	verdict := func(ok bool) string {
+		if ok {
+			return "match"
+		}
+		return "DIVERGED"
+	}
+	for _, e := range r.Entries {
+		table.AddRow(e.Shards, e.Transport, e.Rounds, e.Messages,
+			fmt.Sprintf("%.1f", e.FrameBytesPerRound/1024),
+			fmt.Sprintf("%.0f", float64(e.MeanRTTNanos)/1e3),
+			verdict(e.CleanMatch), verdict(e.FaultedMatch))
+	}
+	return table
 }
