@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate smoke perfbench-check ci bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
+.PHONY: build test vet misvet race cover alloc-gate smoke perfbench-check ci loc bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
 
 build:
 	go build ./...
@@ -90,6 +90,16 @@ perfbench-check:
 # floors, allocation gate, benchmark smoke (E17–E22), benchmark build
 # check.
 ci: test vet misvet race cover alloc-gate smoke perfbench-check
+
+# Go line counts per package: non-test and test files, then the module
+# totals — the figures a PR reports as its net line count. Not part of ci.
+loc:
+	@printf '%8s %8s  %s\n' non-test test package
+	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		src=$$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		tst=$$(find $$dir -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%8d %8d  %s\n' $$src $$tst $$pkg; \
+	done | awk '{ print; src += $$1; tst += $$2 } END { printf "%8d %8d  total\n", src, tst }'
 
 # Refresh the seed-pinned fault-tolerance sweep (safety must hold at every
 # fault intensity; rounds and coverage are the recorded trajectory).

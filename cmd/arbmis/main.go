@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -34,7 +35,7 @@ func (roundPrinter) Emit(e repro.TraceEvent) {
 }
 
 func run() int {
-	family := flag.String("family", "union", "graph family: tree|union|grid|gnp|pa|rgg")
+	family := flag.String("family", "union", "graph family: "+gen.Families)
 	n := flag.Int("n", 4096, "number of vertices")
 	alpha := flag.Int("alpha", 2, "arboricity bound (union/pa; ArbMIS parameter everywhere)")
 	p := flag.Float64("p", 0.01, "edge probability (gnp) / radius (rgg)")
@@ -147,29 +148,11 @@ func run() int {
 	return 0
 }
 
+// buildGraph reads the -stdin edge list or builds the validated -family
+// graph.
 func buildGraph(stdin bool, family string, n, alpha int, p float64, seed uint64) (*repro.Graph, error) {
 	if stdin {
 		return graph.ReadEdgeList(os.Stdin)
 	}
-	switch family {
-	case "tree":
-		return repro.RandomTree(n, seed), nil
-	case "union":
-		return repro.UnionOfTrees(n, alpha, seed), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return repro.Grid(side, side), nil
-	case "gnp":
-		return repro.GNP(n, p, seed), nil
-	case "pa":
-		return repro.PreferentialAttachment(n, alpha, seed), nil
-	case "rgg":
-		g, _ := repro.RandomGeometric(n, p, seed)
-		return g, nil
-	default:
-		return nil, fmt.Errorf("unknown family %q", family)
-	}
+	return gen.Family(family, n, alpha, p, seed)
 }

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
 	"repro/internal/dynmis"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/rng"
@@ -31,9 +31,6 @@ import (
 func main() {
 	os.Exit(run())
 }
-
-// families lists the accepted -family values (kept in the usage string).
-const families = "tree|union|grid|gnp|pa|rgg"
 
 // usageError reports a bad flag combination on stderr together with the
 // flag summary, and returns the exit code.
@@ -44,7 +41,7 @@ func usageError(format string, args ...any) int {
 }
 
 func run() int {
-	family := flag.String("family", "union", "graph family: "+families)
+	family := flag.String("family", "union", "graph family: "+gen.Families)
 	n := flag.Int("n", 1024, "number of vertices")
 	alpha := flag.Int("alpha", 2, "arboricity parameter (union/pa)")
 	p := flag.Float64("p", 0.01, "edge probability (gnp) / radius (rgg)")
@@ -58,11 +55,8 @@ func run() int {
 	streamSeed := flag.Uint64("stream-seed", 1, "update-stream generator seed (with -stream)")
 	flag.Parse()
 
-	// Validate before generating: the generators assume sane parameters and
-	// a bad flag must produce a usage message, not a panic or empty output.
-	if *n <= 0 {
-		return usageError("-n must be positive, got %d", *n)
-	}
+	// Validate before generating: a bad flag must produce a usage message,
+	// not a panic or empty output. gen.Family checks the family parameters.
 	ordering, err := layout.Parse(*layoutName)
 	if err != nil {
 		return usageError("%v", err)
@@ -71,15 +65,6 @@ func run() int {
 		// A stream header replays the base graph from its generator
 		// parameters alone; a relabeled base would not be reconstructible.
 		return usageError("-layout cannot be combined with -stream")
-	}
-	if *alpha < 1 && (*family == "union" || *family == "pa") {
-		return usageError("-alpha must be at least 1 for -family %s, got %d", *family, *alpha)
-	}
-	if (*p < 0 || *p > 1) && *family == "gnp" {
-		return usageError("-p must be a probability in [0,1] for -family gnp, got %v", *p)
-	}
-	if *p < 0 && *family == "rgg" {
-		return usageError("-p (radius) must be non-negative for -family rgg, got %v", *p)
 	}
 	if !*stream {
 		for _, f := range []struct {
@@ -112,26 +97,9 @@ func run() int {
 		}
 	}
 
-	var g *repro.Graph
-	switch *family {
-	case "tree":
-		g = repro.RandomTree(*n, *seed)
-	case "union":
-		g = repro.UnionOfTrees(*n, *alpha, *seed)
-	case "grid":
-		side := 1
-		for side*side < *n {
-			side++
-		}
-		g = repro.Grid(side, side)
-	case "gnp":
-		g = repro.GNP(*n, *p, *seed)
-	case "pa":
-		g = repro.PreferentialAttachment(*n, *alpha, *seed)
-	case "rgg":
-		g, _ = repro.RandomGeometric(*n, *p, *seed)
-	default:
-		return usageError("unknown family %q (want %s)", *family, families)
+	g, err := gen.Family(*family, *n, *alpha, *p, *seed)
+	if err != nil {
+		return usageError("%v", err)
 	}
 	if ordering != layout.Identity {
 		perm, _, err := layout.Compute(g, ordering)

@@ -13,9 +13,7 @@
 //
 // With -once the worker exits after its first run, which is what the
 // crash-recovery tests and throwaway fleets want; without it the accept
-// loop serves runs until killed. The coordinator can also ask the worker
-// to expose Prometheus metrics (shard config carries the listen address),
-// independent of any flags here.
+// loop serves runs until killed.
 package main
 
 import (

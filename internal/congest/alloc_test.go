@@ -150,9 +150,10 @@ func TestSteadyStateRoundZeroAllocsRelabeled(t *testing.T) {
 }
 
 // TestSteadyStateRoundZeroAllocsWithDelays extends the gate to the faulted
-// delivery path: with a plan that only delays (never drops), steady-state
-// rounds must still allocate nothing once the delay buckets have cycled
-// through the free list a few times.
+// path: with a plan that only delays (never drops), steady-state rounds —
+// the per-round fate scan and its reused down mask included — must still
+// allocate nothing once the delay buckets have cycled through the free
+// list a few times.
 func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	const n = 256
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
@@ -163,6 +164,7 @@ func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	round := 0
 	oneRound := func() {
 		r.startRound(st, round)
+		st.scanFates(round)
 		for _, sh := range st.shards {
 			r.sweepShard(st, sh, round)
 		}

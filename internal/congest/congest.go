@@ -157,12 +157,6 @@ func (c *Context) Broadcast(w Wire) {
 	}
 }
 
-// BroadcastWire is Broadcast under the name the slot-addressed API family
-// uses; both walk the neighbor slots directly.
-//
-//congest:hotpath
-func (c *Context) BroadcastWire(w Wire) { c.Broadcast(w) }
-
 // fail records the first model violation observed in this context's shard.
 // Nodes within a shard are swept in ascending ID order and shards cover
 // ascending contiguous ID ranges, so the surviving error is the lowest
@@ -355,21 +349,16 @@ type Runner struct {
 	// aliases g and every other field is nil, so the engine runs exactly
 	// the pre-layout code paths. Otherwise ig is the relabeled CSR the
 	// drivers shard and sweep, perm/ext translate external↔internal IDs,
-	// and the nbr arrays hold each internal vertex's neighbor row twice:
-	// external IDs ascending (what contexts expose) pairwise-aligned with
-	// internal IDs (what sends address).
+	// and rows holds every internal vertex's neighbor row in both ID
+	// spaces.
 	ig *graph.Graph
 	//idspace:index external
 	//idspace:internal
 	perm []int // external ID -> internal ID; nil = identity
 	//idspace:index internal
 	//idspace:external
-	ext    []int // internal ID -> external ID; nil = identity
-	nbrOff []int // internal vertex -> offset into nbrExt/nbrInt
-	//idspace:external
-	nbrExt []int
-	//idspace:internal
-	nbrInt    []int
+	ext       []int // internal ID -> external ID; nil = identity
+	rows      *nbrRows
 	layoutErr error // deferred to Run: NewRunner cannot return an error
 }
 
@@ -416,24 +405,51 @@ func (r *Runner) resolveLayout() {
 		return
 	}
 	r.ig, r.perm, r.ext = ig, perm, ext
-	// Build the dual neighbor rows: for internal vertex p, the external
-	// IDs of its neighbors ascending, aligned with their internal IDs.
-	n := ig.N()
-	r.nbrOff = make([]int, n+1)
-	for p := 0; p < n; p++ {
-		r.nbrOff[p+1] = r.nbrOff[p] + ig.Degree(p)
+	r.rows = newNbrRows(0, ig.N(), ig.Neighbors, ext)
+}
+
+// nbrRows holds the neighbor rows of the internal vertices [lo, hi) under
+// a non-identity layout, each twice: the neighbors' external IDs
+// ascending (what contexts expose), pairwise-aligned with their internal
+// IDs (what sends address).
+type nbrRows struct {
+	//idspace:internal
+	lo  int
+	off []int // v-lo -> offset of v's row in ext/tgt
+	//idspace:external
+	ext []int
+	//idspace:internal
+	tgt []int
+}
+
+// newNbrRows builds the rows of [lo, hi) from the internal-order
+// adjacency and the internal→external ID map.
+//
+//idspace:internal lo hi
+func newNbrRows(lo, hi int, adj func(v int) []int, ext []int) *nbrRows {
+	rw := &nbrRows{lo: lo, off: make([]int, hi-lo+1)}
+	for v := lo; v < hi; v++ {
+		rw.off[v-lo+1] = rw.off[v-lo] + len(adj(v))
 	}
-	r.nbrExt = make([]int, r.nbrOff[n])
-	r.nbrInt = make([]int, r.nbrOff[n])
-	for p := 0; p < n; p++ {
-		extRow := r.nbrExt[r.nbrOff[p]:r.nbrOff[p+1]]
-		intRow := r.nbrInt[r.nbrOff[p]:r.nbrOff[p+1]]
-		for i, q := range ig.Neighbors(p) {
+	rw.ext = make([]int, rw.off[hi-lo])
+	rw.tgt = make([]int, rw.off[hi-lo])
+	for v := lo; v < hi; v++ {
+		extRow, tgtRow := rw.row(v)
+		for i, q := range adj(v) {
 			extRow[i] = ext[q]
-			intRow[i] = q
+			tgtRow[i] = q
 		}
-		sort.Sort(&pairByExt{ext: extRow, tgt: intRow})
+		sort.Sort(&pairByExt{ext: extRow, tgt: tgtRow})
 	}
+	return rw
+}
+
+// row returns internal vertex v's neighbor row in both ID spaces.
+//
+//idspace:internal v
+func (rw *nbrRows) row(v int) (ext, tgt []int) {
+	a, b := rw.off[v-rw.lo], rw.off[v-rw.lo+1]
+	return rw.ext[a:b], rw.tgt[a:b]
 }
 
 // pairByExt sorts a (external ID, internal ID) neighbor-row pair by
@@ -445,6 +461,38 @@ func (s *pairByExt) Less(i, j int) bool { return s.ext[i] < s.ext[j] }
 func (s *pairByExt) Swap(i, j int) {
 	s.ext[i], s.ext[j] = s.ext[j], s.ext[i]
 	s.tgt[i], s.tgt[j] = s.tgt[j], s.tgt[i]
+}
+
+// initContexts builds the contexts of internal vertices [lo,
+// lo+len(ctxs)), all owned by shard sh. A context carries the external
+// identity (ID, neighbor rows, RNG stream), so relabeling is invisible to
+// the program; under the identity layout both neighbor slices alias adj's
+// row. The in-process drivers and the shard worker share it.
+//
+//idspace:internal lo
+func (r *Runner) initContexts(ctxs []Context, lo, n int, root *rng.RNG, adj func(v int) []int, sh *shard) {
+	for i := range ctxs {
+		v := lo + i
+		var extv int
+		var nbrs, tgts []int
+		if r.rows != nil {
+			extv = r.ext[v]
+			nbrs, tgts = r.rows.row(v)
+		} else {
+			extv = v //idspace:ok identity layout: internal and external IDs coincide
+			nbrs = adj(v)
+			tgts = nbrs
+		}
+		ctxs[i] = Context{
+			id:        extv,
+			n:         n,
+			neighbors: nbrs,
+			targets:   tgts,
+			rng:       root.Split(uint64(extv)),
+			shard:     sh,
+			runner:    r,
+		}
+	}
 }
 
 // Node returns vertex v's state machine, for reading outputs after Run.
@@ -491,13 +539,27 @@ type shard struct {
 	liveCount int      // set bits in frontier (O(1) empty-shard skip)
 	// out is the per-destination-bucket outbox family: out[d] holds the
 	// messages this shard's nodes sent to vertices of destination shard d,
-	// in send order. Unbucketed runs (sequential driver, fault plans) use
-	// a single bucket and out[0] is the classic global-send-order outbox.
+	// in send order. Single-shard runs and fault plans use a single bucket
+	// and out[0] is the classic global-send-order outbox.
 	out    [][]addressed
 	vshard []int32       // shared vertex→shard map for bucket routing (nil when unbucketed)
 	events []trace.Event // program/halt events buffered during the sweep
 	err    error         // first model violation by a node of this shard
 	busy   int64         // sweep duration in nanoseconds, when timing is on
+
+	// Vertex fates of the round (faulted runs, see scanFates): down masks
+	// this round's VertexDown vertices out of the sweep, word-aligned with
+	// frontier, and fates lists the round's non-Up verdicts.
+	down  []uint64
+	fates []VertexFate
+
+	// Halt log for the shard worker, which ships its halts to the
+	// coordinator: when logHalts is set the sweep appends every vertex
+	// that halts to halted.
+	//
+	//idspace:internal
+	halted   []int32
+	logHalts bool
 
 	// Bucketed-merge scratch, owned by this shard in its destination role:
 	// mergeBase is the arena offset where the shard's inbox region starts,
@@ -511,15 +573,21 @@ type shard struct {
 
 // execState is the driver-independent bookkeeping for a run.
 type execState struct {
+	// ctxs and the inbox view below cover the vertices [base, base+len):
+	// the whole graph on the coordinator (base 0), the owned range in a
+	// shard worker. Index them with v-base.
 	ctxs   []Context
 	shards []*shard
+	//idspace:internal
+	base int
 
 	// The flat inbox arena: one contiguous backing store for all of the
 	// round's inboxes, sized by a counting pass over the shard outboxes
 	// and reused across rounds (it only grows, so steady-state rounds
 	// allocate nothing). Vertex v's inbox is arena[inboxOff[v] :
 	// inboxOff[v]+inboxLen[v]] — inboxes are laid out in ascending vertex
-	// order, so the sweep reads the arena sequentially.
+	// order, so the sweep reads the arena sequentially. A shard worker
+	// points the view at the inbox its coordinator shipped.
 	arena    []Message
 	inboxOff []int // vertex -> arena offset of its inbox
 	inboxLen []int // vertex -> messages delivered this round (write cursor)
@@ -534,12 +602,12 @@ type execState struct {
 	observed  int64               // sends already reported on the bus
 
 	// Bucketed-merge state. buckets is the destination-bucket count per
-	// shard outbox: numShards for the pool driver on a reliable network
-	// (delivery decomposes into per-destination-shard merges that can run
-	// on the workers), 1 otherwise (fault draws need the global send order
-	// a single outbox preserves). parMerge, set by
-	// the pool driver, dispatches one merge task per shard to the worker
-	// pool and waits; nil means the coordinator merges the buckets itself.
+	// shard outbox: numShards on a reliable network (delivery decomposes
+	// into per-destination-shard merges), 1 under a fault plan (fault
+	// draws need the global send order a single outbox preserves).
+	// parMerge, set by the pool driver, dispatches one merge task per
+	// shard to the worker pool and waits; nil means the coordinator merges
+	// the buckets itself.
 	buckets    int
 	parMerge   func()
 	scratch    []uint64 // whole-graph frontier gather space for rebalancing
@@ -616,10 +684,9 @@ func (r *Runner) newExecState(numShards int) *execState {
 	// Destination-bucketed outboxes let delivery decompose into disjoint
 	// per-shard merges (deliverBuckets); they require a reliable network
 	// (fault draws consume the fault stream in global send order, which
-	// only a single outbox preserves), and they only pay off under the
-	// pool driver.
+	// only a single outbox preserves). One shard needs no routing map.
 	st.buckets = 1
-	if r.opts.Driver == DriverPool && numShards > 1 && st.plan == nil {
+	if numShards > 1 && st.plan == nil {
 		st.buckets = numShards
 		st.vshard = make([]int32, n)
 	}
@@ -627,32 +694,12 @@ func (r *Runner) newExecState(numShards int) *execState {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
 		sh := &shard{idx: s, out: make([][]addressed, st.buckets), vshard: st.vshard}
 		sh.resetFrontier(lo, hi)
-		for v := lo; v < hi; v++ {
-			if st.vshard != nil {
+		if st.vshard != nil {
+			for v := lo; v < hi; v++ {
 				st.vshard[v] = int32(s)
 			}
-			// v is the internal ID; the context carries the external
-			// identity (ID, neighbor list, RNG stream) so relabeling is
-			// invisible to the program. Identity layout: both neighbor
-			// slices alias the same CSR row and extv == v.
-			extv, nbrs, tgts := v, r.ig.Neighbors(v), []int(nil)
-			if r.perm != nil {
-				extv = r.ext[v]
-				nbrs = r.nbrExt[r.nbrOff[v]:r.nbrOff[v+1]]
-				tgts = r.nbrInt[r.nbrOff[v]:r.nbrOff[v+1]]
-			} else {
-				tgts = nbrs
-			}
-			st.ctxs[v] = Context{
-				id:        extv,
-				n:         n,
-				neighbors: nbrs,
-				targets:   tgts,
-				rng:       root.Split(uint64(extv)),
-				shard:     sh,
-				runner:    r,
-			}
 		}
+		r.initContexts(st.ctxs[lo:hi], lo, n, root, r.ig.Neighbors, sh)
 		st.shards[s] = sh
 	}
 	return st
@@ -660,18 +707,18 @@ func (r *Runner) newExecState(numShards int) *execState {
 
 // sweepShard runs one round for every live node of a shard, in ascending
 // ID order by iterating the frontier bitset word by word (set bits resolve
-// low-to-high via TrailingZeros64, so bit order is ID order). A halted
-// node's bit is cleared; a VertexGone fate also retires the bit so a run
-// with permanent crashes can still terminate, while VertexDown leaves the
-// bit set (the vertex is skipped this round only). Vertex fates are pure
-// functions of (round, vertex), so concurrent shard workers agree with
-// the sequential sweep.
+// low-to-high via TrailingZeros64, so bit order is ID order). Vertices the
+// round's fate scan marked down are masked out; a halted node's bit is
+// cleared. Every driver sweeps through here: the in-process drivers on
+// the coordinator's state, the shard worker on its own.
 //
 //congest:hotpath
 func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 	base := sh.lo >> 6
-	for wi := range sh.frontier {
-		w := sh.frontier[wi]
+	for wi, w := range sh.frontier {
+		if sh.down != nil {
+			w &^= sh.down[wi]
+		}
 		if w == 0 {
 			continue
 		}
@@ -680,26 +727,20 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 			b := bits.TrailingZeros64(rem)
 			rem &^= 1 << uint(b)
 			v := vbase + b
-			if round > 0 && st.plan != nil {
-				switch st.plan.Vertex(round, st.extID(v)) {
-				case faultsim.VertexGone:
-					sh.frontier[wi] &^= 1 << uint(b)
-					sh.liveCount--
-					continue
-				case faultsim.VertexDown:
-					continue
-				}
-			}
-			ctx := &st.ctxs[v]
+			i := v - st.base
+			ctx := &st.ctxs[i]
 			ctx.round = round
 			if round == 0 {
-				r.nodes[v].Init(ctx)
+				r.nodes[i].Init(ctx)
 			} else {
-				r.nodes[v].Round(ctx, st.inbox(v))
+				r.nodes[i].Round(ctx, st.inbox(i))
 			}
 			if ctx.halted {
 				sh.frontier[wi] &^= 1 << uint(b)
 				sh.liveCount--
+				if sh.logHalts {
+					sh.halted = append(sh.halted, int32(v))
+				}
 				if r.traced {
 					sh.events = append(sh.events, trace.Event{
 						Type: trace.EvHalt, Round: int32(round), V: int32(st.extID(v)),
@@ -710,16 +751,68 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 	}
 }
 
-// inbox returns vertex v's slice of the round's arena. The three-index
-// form caps the slice at its own segment, so a program that (incorrectly)
-// appends to its inbox forces a copy instead of corrupting a neighbor's
-// inbox.
+// scanFates evaluates the round's vertex fates for every shard's live
+// vertices, once per round on the coordinator and for every driver (after
+// the pool's rebalance, before the sweep). A VertexGone vertex is retired
+// from the frontier, so a run with permanent crashes can still terminate;
+// a VertexDown vertex keeps its bit but is masked out of this round's
+// sweep. Both verdicts are listed in sh.fates, which the distributed
+// driver ships to the owning worker. Fates are pure functions of (round,
+// vertex), so the scan consumes no randomness.
+func (st *execState) scanFates(round int) {
+	if st.plan == nil || round == 0 {
+		return
+	}
+	for _, sh := range st.shards {
+		sh.fates = sh.fates[:0]
+		if cap(sh.down) < len(sh.frontier) {
+			sh.down = make([]uint64, len(sh.frontier))
+		}
+		sh.down = sh.down[:len(sh.frontier)]
+		clear(sh.down)
+		base := sh.lo >> 6
+		for wi, w := range sh.frontier {
+			vbase := (base + wi) << 6
+			for rem := w; rem != 0; {
+				b := bits.TrailingZeros64(rem)
+				rem &^= 1 << uint(b)
+				v := vbase + b
+				// v indexes the internal frontier; plans speak external IDs.
+				f := st.plan.Vertex(round, st.extID(v))
+				switch f {
+				case faultsim.VertexGone:
+					sh.frontier[wi] &^= 1 << uint(b)
+					sh.liveCount--
+				case faultsim.VertexDown:
+					sh.down[wi] |= 1 << uint(b)
+				default:
+					continue
+				}
+				sh.fates = append(sh.fates, VertexFate{V: int32(v), Fate: int32(f)})
+			}
+		}
+	}
+}
+
+// inbox returns the i'th vertex's slice of the round's arena (i = v-base).
+// The three-index form caps the slice at its own segment, so a program
+// that (incorrectly) appends to its inbox forces a copy instead of
+// corrupting a neighbor's inbox.
 //
 //congest:hotpath
-func (st *execState) inbox(v int) []Message {
-	off := st.inboxOff[v]
-	end := off + st.inboxLen[v]
+func (st *execState) inbox(i int) []Message {
+	off := st.inboxOff[i]
+	end := off + st.inboxLen[i]
 	return st.arena[off:end:end]
+}
+
+// draws sums the cumulative draw counts of the state's node streams.
+func (st *execState) draws() uint64 {
+	var d uint64
+	for i := range st.ctxs {
+		d += st.ctxs[i].rng.Draws()
+	}
+	return d
 }
 
 // deliver merges every shard's outbox into the next round's inboxes,
@@ -727,23 +820,24 @@ func (st *execState) inbox(v int) []Message {
 // swept (the send round); its messages are consumed in round+1. It returns
 // the first model violation recorded by any shard (shards cover ascending
 // contiguous ID ranges and sweep in ID order, so the reported error is the
-// lowest erring vertex's under every driver).
+// lowest erring vertex's under every driver). A reliable network takes the
+// bucketed scatter (deliverBuckets); the rest of this function is the
+// faulted path.
 //
-// Delivery is a two-pass scatter into the flat inbox arena. The counting
-// pass upper-bounds each vertex's inbox (delayed messages due this round
-// plus every outbox message addressed to it — drops only shorten a
-// segment, never misplace one) and lays the inboxes out back-to-back via
-// a prefix sum. The delivery pass then writes each admitted message at
-// its recipient's cursor. Shards cover contiguous ascending ID ranges and
-// each shard outbox is already in ascending sender order, so visiting
-// shard outboxes in shard order delivers every inbox sorted by sender —
-// no per-vertex append, no intermediate buffer, no sort, and the arena is
-// reused across rounds so steady-state delivery allocates nothing. Fault
-// decisions happen in that same global sender order (the counting pass
-// consults no randomness), so fault stream consumption is identical
-// across drivers. Messages a plan has delayed land ahead of the round's
-// fresh traffic, in the order they were deferred (which is itself global
-// send order, so the whole inbox is deterministic).
+// Faulted delivery is a two-pass scatter into the flat inbox arena. The
+// counting pass upper-bounds each vertex's inbox (delayed messages due
+// this round plus every outbox message addressed to it — drops only
+// shorten a segment, never misplace one) and lays the inboxes out
+// back-to-back via a prefix sum. The delivery pass then writes each
+// admitted message at its recipient's cursor. Shards cover contiguous
+// ascending ID ranges and each shard outbox is already in ascending sender
+// order, so visiting shard outboxes in shard order delivers every inbox
+// sorted by sender, and fault decisions happen in that same global sender
+// order (the counting pass consults no randomness), so fault stream
+// consumption is identical across drivers. Messages a plan has delayed
+// land ahead of the round's fresh traffic, in the order they were deferred
+// (which is itself global send order, so the whole inbox is
+// deterministic).
 //
 //congest:hotpath
 func (r *Runner) deliver(st *execState, round int) error {
@@ -753,8 +847,9 @@ func (r *Runner) deliver(st *execState, round int) error {
 		}
 	}
 	st.drainShardEvents()
-	if st.buckets > 1 {
-		return st.deliverBuckets()
+	if st.plan == nil {
+		st.deliverBuckets()
+		return nil
 	}
 	consume := round + 1
 	var delayedNow []addressed
@@ -764,9 +859,7 @@ func (r *Runner) deliver(st *execState, round int) error {
 
 	// Counting pass: inboxLen doubles as the per-vertex counter, then the
 	// prefix sum converts counts into offsets and resets the cursors.
-	for v := range st.inboxLen {
-		st.inboxLen[v] = 0
-	}
+	clear(st.inboxLen)
 	for _, a := range delayedNow {
 		st.inboxLen[a.to]++
 	}
@@ -781,12 +874,7 @@ func (r *Runner) deliver(st *execState, round int) error {
 		st.inboxLen[v] = 0
 		total += c
 	}
-	if cap(st.arena) < total {
-		//congest:coldpath arena growth: the backing store only grows, so steady-state rounds never take this branch
-		st.arena = make([]Message, total)
-	} else {
-		st.arena = st.arena[:total]
-	}
+	st.growArena(total)
 
 	// Delivery pass: delayed messages first, then fresh traffic in shard
 	// (= global sender) order.
@@ -799,14 +887,6 @@ func (r *Runner) deliver(st *execState, round int) error {
 	}
 	for _, sh := range st.shards {
 		st.sent += int64(len(sh.out[0]))
-		if st.plan == nil {
-			// Reliable fast path: no fates to draw.
-			for _, a := range sh.out[0] {
-				st.deposit(a)
-			}
-			sh.out[0] = sh.out[0][:0]
-			continue
-		}
 		for _, a := range sh.out[0] {
 			fate := st.plan.Message(round, a.msg.From, st.extID(a.to), st.faults)
 			if fate.Drop {
@@ -842,28 +922,41 @@ func (r *Runner) deliver(st *execState, round int) error {
 	return nil
 }
 
+// growArena sizes the inbox arena for total messages. The backing store
+// only grows, so steady-state rounds never allocate.
+//
+//congest:hotpath
+func (st *execState) growArena(total int) {
+	if cap(st.arena) < total {
+		//congest:coldpath arena growth: the backing store only grows, so steady-state rounds never take this branch
+		st.arena = make([]Message, total)
+	} else {
+		st.arena = st.arena[:total]
+	}
+}
+
 // parallelMergeMin is the outbox volume (messages in the round) below which
 // deliverBuckets merges on the coordinator rather than dispatching merge
 // tasks to the worker pool: under it, the channel round-trip costs more
 // than the scatter it would parallelize.
 const parallelMergeMin = 1 << 13
 
-// deliverBuckets is delivery for bucketed runs (pool driver, reliable
-// network): every shard swept its nodes into
-// per-destination-shard sub-outboxes, so shard d's whole inbox region is
-// exactly {out[d] of every source shard} — a merge over disjoint arena
-// ranges that can run per destination shard, in parallel, with no
-// coordination beyond the range layout.
+// deliverBuckets is delivery on a reliable network, for every driver:
+// every shard swept its nodes into per-destination-shard sub-outboxes, so
+// shard d's whole inbox region is exactly {out[d] of every source shard} —
+// a merge over disjoint arena ranges that can run per destination shard,
+// in parallel, with no coordination beyond the range layout. A
+// single-shard run is the degenerate case: one bucket, one region.
 //
-// Order is preserved exactly as in the single-outbox merge: recipient v's
-// inbox concatenates source shards in ascending shard order (shards cover
-// ascending contiguous ID ranges), and within a source bucket messages are
-// in (sender ID, send call) order because the sweep visits nodes in ID
-// order. That is the same sender-sorted inbox deliver produces, so bucketed
-// and unbucketed runs are bit-identical.
+// Recipient v's inbox concatenates source shards in ascending shard order
+// (shards cover ascending contiguous ID ranges), and within a source
+// bucket messages are in (sender ID, send call) order because the sweep
+// visits nodes in ID order. Every inbox is therefore sorted by sender, the
+// same order the faulted single-outbox path produces, whatever the shard
+// count.
 //
 //congest:hotpath
-func (st *execState) deliverBuckets() error {
+func (st *execState) deliverBuckets() {
 	// Region layout: shard d's inbox region starts where shard d-1's ends,
 	// sized by the bucket lengths (a count pass over W² slice headers, not
 	// messages).
@@ -874,12 +967,7 @@ func (st *execState) deliverBuckets() error {
 			total += len(src.out[dst.idx])
 		}
 	}
-	if cap(st.arena) < total {
-		//congest:coldpath arena growth: the backing store only grows, so steady-state rounds never take this branch
-		st.arena = make([]Message, total)
-	} else {
-		st.arena = st.arena[:total]
-	}
+	st.growArena(total)
 	if st.parMerge != nil && total >= parallelMergeMin {
 		st.parMerge()
 	} else {
@@ -902,15 +990,15 @@ func (st *execState) deliverBuckets() error {
 			src.out[d] = src.out[d][:0]
 		}
 	}
-	return nil
 }
 
 // mergeBucket scatters destination shard d's inbox region: counting pass
 // over every source shard's bucket for d, prefix sum from the region base,
-// then the cursor scatter — the same two-pass layout as deliver, restricted
-// to the region. Regions are disjoint in the arena and in inboxOff/inboxLen
-// (shard vertex ranges partition [0, n)), so mergeBucket calls for distinct
-// d are race-free and run on pool workers when volume warrants.
+// then the cursor scatter — the same two-pass layout as faulted deliver,
+// restricted to the region. Regions are disjoint in the arena and in
+// inboxOff/inboxLen (shard vertex ranges partition [0, n)), so mergeBucket
+// calls for distinct d are race-free and run on pool workers when volume
+// warrants.
 //
 //congest:hotpath
 func (st *execState) mergeBucket(d int) {
@@ -1008,32 +1096,27 @@ func (st *execState) refreshLive() {
 	st.live = live
 }
 
-// runLoop is the coordinator shared by every driver: sweep round 0 (Init),
-// then rounds 1, 2, ... until every node has halted. sweep(round) must run
-// every live node once; afterRound, when non-nil, runs after each
-// successfully delivered round, before the round-end event (the pool
-// driver publishes its timing events there). Round reporting rides the
-// event bus: startRound/endRound bracket each round on it.
+// runLoop is the coordinator shared by every driver: round 0 (Init), then
+// rounds 1, 2, ... until every node has halted. Each round the pool
+// re-cuts skewed shards, the fate scan runs, sweep(round) runs every live
+// node once, and delivery merges the outboxes; afterRound, when non-nil,
+// runs after each successfully delivered round, before the round-end event
+// (the pool driver publishes its timing events there). Round reporting
+// rides the event bus: startRound/endRound bracket each round on it.
 //
 // Result.Rounds is committed only after a round's delivery succeeds, so a
 // run aborted by a mid-round model violation reports the last *completed*
 // round, not the one that failed.
 func (r *Runner) runLoop(st *execState, sweep func(round int), afterRound func(round int)) (Result, error) {
-	r.startRound(st, 0)
-	sweep(0)
-	if err := r.deliver(st, 0); err != nil {
-		return st.res, err
-	}
-	st.refreshLive()
-	if afterRound != nil {
-		afterRound(0)
-	}
-	r.endRound(st, 0)
-	for round := 1; st.live > 0; round++ {
+	for round := 0; round == 0 || st.live > 0; round++ {
 		if round > r.opts.MaxRounds {
 			return st.res, fmt.Errorf("%w (limit %d, %d nodes live)", ErrMaxRounds, r.opts.MaxRounds, st.live)
 		}
 		r.startRound(st, round)
+		if r.opts.Driver == DriverPool && round > 0 {
+			st.maybeRebalance(round)
+		}
+		st.scanFates(round)
 		sweep(round)
 		if err := r.deliver(st, round); err != nil {
 			return st.res, err
@@ -1048,11 +1131,11 @@ func (r *Runner) runLoop(st *execState, sweep func(round int), afterRound func(r
 	return st.res, nil
 }
 
+// runSequential is one inline shard: the shared round loop with the sweep
+// on the calling goroutine.
 func (r *Runner) runSequential() (Result, error) {
 	st := r.newExecState(1)
 	return r.runLoop(st, func(round int) {
-		for _, sh := range st.shards {
-			r.sweepShard(st, sh, round)
-		}
+		r.sweepShard(st, st.shards[0], round)
 	}, nil)
 }

@@ -7,16 +7,18 @@ package congest
 // and the binary codec; this file is transport-agnostic).
 //
 // Determinism contract. The distributed driver reuses the in-process
-// coordinator verbatim — runLoop, deliver, the event bus — so everything
-// that consumes randomness or emits deterministic events stays on the
-// coordinator, in global sender order:
+// coordinator verbatim — runLoop, the fate scan, deliver, the event bus —
+// so everything that consumes randomness or emits deterministic events
+// stays on the coordinator, in global sender order, and the worker runs
+// the in-process shard sweep itself:
 //
-//   - fault fates and fault-stream draws happen in deliver, exactly as for
-//     the sequential driver (workers never see the fault RNG; they receive
-//     the already-drawn vertex fates and the already-filtered inboxes);
+//   - vertex fates come from the coordinator's scanFates and message
+//     fault draws from deliver, exactly as for the in-process drivers
+//     (workers never see the plan or the fault RNG; they receive the
+//     round's vertex fates and the already-filtered inboxes);
 //   - shards are contiguous ascending ID ranges and each worker sweeps its
-//     nodes in ID order, so concatenating worker outboxes in shard order
-//     reproduces the global send order every in-process driver uses;
+//     nodes in ID order (sweepShard), so merging worker outboxes in shard
+//     order reproduces the global send order every driver uses;
 //   - node RNG streams are Split(v) of the run seed on the worker — the
 //     same pure function of (seed, v) the in-process drivers use, so
 //     stream contents do not depend on which process draws them.
@@ -35,8 +37,6 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"sort"
 
 	"repro/internal/faultsim"
 	"repro/internal/rng"
@@ -73,7 +73,7 @@ type ShardConfig struct {
 
 // VertexFate is one non-Up fault verdict for a live vertex this round,
 // drawn (purely) on the coordinator and shipped to the owning worker.
-// Fate uses the faultsim.VertexState values (1 = down, 2 = gone).
+// Fate uses the faultsim.VertexFate values (1 = down, 2 = gone).
 type VertexFate struct {
 	//idspace:internal
 	V    int32
@@ -209,9 +209,9 @@ type distRun struct {
 }
 
 // runDistributed executes the program over Options.Fleet. It reuses the
-// in-process round loop and delivery path: the only driver-specific part
-// is the sweep, which ships inputs to the worker processes and merges
-// their outputs back into the shard outboxes.
+// in-process round loop, fate scan and delivery path: the only
+// driver-specific part is the sweep, which ships inputs to the worker
+// processes and merges their outputs back into the shard outboxes.
 func (r *Runner) runDistributed() (Result, error) {
 	fleet := r.opts.Fleet
 	if fleet == nil {
@@ -288,10 +288,7 @@ func (d *distRun) sweep(round int) {
 		if d.conns[s] == nil {
 			continue
 		}
-		in := RoundInput{Round: round}
-		if round > 0 && st.plan != nil {
-			in.Fates = d.scanFates(sh, round)
-		}
+		in := RoundInput{Round: round, Fates: sh.fates}
 		lens := d.lens[s]
 		for v := sh.lo; v < sh.hi; v++ {
 			lens[v-sh.lo] = int32(st.inboxLen[v])
@@ -318,38 +315,6 @@ func (d *distRun) sweep(round int) {
 	}
 	d.exchange(round)
 	d.apply(round)
-}
-
-// scanFates draws the round's vertex fates for a shard's live vertices —
-// the same pure plan.Vertex consult the in-process sweep performs — and
-// retires permanently-gone vertices from the coordinator's mirror
-// frontier, exactly as sweepShard does.
-func (d *distRun) scanFates(sh *shard, round int) []VertexFate {
-	st := d.st
-	var fates []VertexFate
-	base := sh.lo >> 6
-	for wi := range sh.frontier {
-		w := sh.frontier[wi]
-		if w == 0 {
-			continue
-		}
-		vbase := (base + wi) << 6
-		for rem := w; rem != 0; {
-			b := bits.TrailingZeros64(rem)
-			rem &^= 1 << uint(b)
-			v := vbase + b
-			// v indexes the internal frontier; plans speak external IDs.
-			switch st.plan.Vertex(round, st.extID(v)) {
-			case faultsim.VertexGone:
-				fates = append(fates, VertexFate{V: int32(v), Fate: int32(faultsim.VertexGone)})
-				sh.frontier[wi] &^= 1 << uint(b)
-				sh.liveCount--
-			case faultsim.VertexDown:
-				fates = append(fates, VertexFate{V: int32(v), Fate: int32(faultsim.VertexDown)})
-			}
-		}
-	}
-	return fates
 }
 
 // exchange ships the round to the fleet: send phase in shard order, recv
@@ -452,7 +417,8 @@ func (d *distRun) replayAndRedo(s int) (RoundOutput, error) {
 }
 
 // apply merges the round's worker outputs into the coordinator's mirror
-// state in shard order: outbox packets (validated), buffered trace
+// state in shard order: outbox packets (validated, and routed to their
+// destination shard's bucket on a reliable network), buffered trace
 // events, halt retirements on the mirror frontier, draw totals, and any
 // worker-reported model violation.
 func (d *distRun) apply(round int) {
@@ -489,7 +455,11 @@ func (d *distRun) apply(round int) {
 					sh.err = fmt.Errorf("congest: distributed shard %d returned packet with invalid addressing %d→%d", s, p.From, p.To)
 					break
 				}
-				sh.out[0] = append(sh.out[0], addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
+				b := 0
+				if st.vshard != nil {
+					b = int(st.vshard[p.To])
+				}
+				sh.out[b] = append(sh.out[b], addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
 			}
 		}
 		sh.events = append(sh.events, out.Events...)
@@ -502,12 +472,7 @@ func (d *distRun) apply(round int) {
 				}
 				continue
 			}
-			wi := v>>6 - sh.lo>>6
-			bit := uint64(1) << uint(v&63)
-			if sh.frontier[wi]&bit != 0 {
-				sh.frontier[wi] &^= bit
-				sh.liveCount--
-			}
+			sh.retire(v)
 		}
 		if st.bus != nil && d.r.opts.EventTiming {
 			//lint:advisory frame bytes and round-trip latency are advisory transport measurements, never program logic
@@ -625,38 +590,19 @@ func outputDigest(out RoundOutput) uint64 {
 }
 
 // ShardWorker is the worker-process side of the distributed driver: the
-// sweep engine for one contiguous vertex shard. It reuses the in-process
-// engine's Context and outbox machinery, so node programs observe exactly
-// the environment the in-process drivers give them; what it does NOT have
-// is the fault plan, the fault RNG, or delivery — those stay on the
-// coordinator, which is what keeps socket transport outside the
-// determinism surface.
+// sweep engine for one contiguous vertex shard. It runs the in-process
+// engine's sweepShard over its own contexts, frontier and outbox, so node
+// programs observe exactly the environment the in-process drivers give
+// them; what it does NOT have is the fault plan, the fault RNG, or
+// delivery — those stay on the coordinator, which is what keeps socket
+// transport outside the determinism surface.
 type ShardWorker struct {
 	cfg   ShardConfig
-	r     *Runner // options/traced carcass for Context plumbing; never Run
+	r     *Runner    // nodes, options and layout rows for Context plumbing; never Run
+	st    *execState // contexts and inbox view over [Lo, Hi)
 	sh    *shard
-	ctxs  []Context
-	nodes []Node
-	//idspace:index internal
-	//idspace:external
-	ext    []int   // internal -> external ID map; nil = identity layout
-	round  int     // next expected round
-	fate   []uint8 // per-vertex fate scratch for the current round
-	off    []int   // per-vertex inbox offset scratch
-	halted []int32
-	pkts   []Packet
-}
-
-// extID translates one of this shard's internal vertex IDs to its
-// external (original) ID.
-//
-//idspace:internal v
-//idspace:returns external
-func (w *ShardWorker) extID(v int) int {
-	if w.ext == nil {
-		return v //idspace:ok identity layout: internal and external IDs coincide
-	}
-	return w.ext[v]
+	round int // next expected round
+	pkts  []Packet
 }
 
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
@@ -674,52 +620,31 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 		return nil, fmt.Errorf("congest: shard got %d ID-map entries for n=%d", len(ext), cfg.N)
 	}
 	width := cfg.Hi - cfg.Lo
-	w := &ShardWorker{
-		cfg:   cfg,
-		r:     &Runner{opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced},
-		sh:    &shard{idx: cfg.Index, out: make([][]addressed, 1)},
-		ctxs:  make([]Context, width),
-		nodes: make([]Node, width),
-		ext:   ext,
-		fate:  make([]uint8, width),
-		off:   make([]int, width),
+	r := &Runner{opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced, nodes: make([]Node, width), ext: ext}
+	if ext != nil {
+		r.rows = newNbrRows(cfg.Lo, cfg.Hi, neighbors, ext)
 	}
-	w.sh.resetFrontier(cfg.Lo, cfg.Hi)
-	root := rng.New(cfg.Seed)
-	for v := cfg.Lo; v < cfg.Hi; v++ {
-		extv := w.extID(v)
+	sh := &shard{idx: cfg.Index, out: make([][]addressed, 1), logHalts: true}
+	sh.resetFrontier(cfg.Lo, cfg.Hi)
+	sh.down = make([]uint64, len(sh.frontier))
+	st := &execState{
+		ctxs:     make([]Context, width),
+		shards:   []*shard{sh},
+		base:     cfg.Lo,
+		inboxOff: make([]int, width),
+		inboxLen: make([]int, width),
+		ext:      ext,
+	}
+	for i := range r.nodes {
+		extv := st.extID(cfg.Lo + i)
 		nd := factory(extv)
 		if _, ok := nd.(Porter); !ok {
 			return nil, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", extv, nd)
 		}
-		i := v - cfg.Lo
-		w.nodes[i] = nd
-		// The context mirrors the coordinator's: external identity and
-		// external-sorted neighbor list, internal send targets. Identity
-		// layout aliases the shipped adjacency row for both.
-		nbrs := neighbors(v)
-		tgts := nbrs
-		if ext != nil {
-			row := nbrs
-			nbrs = make([]int, len(row))
-			tgts = make([]int, len(row))
-			for j, q := range row {
-				nbrs[j] = ext[q]
-				tgts[j] = q
-			}
-			sort.Sort(&pairByExt{ext: nbrs, tgt: tgts})
-		}
-		w.ctxs[i] = Context{
-			id:        extv,
-			n:         cfg.N,
-			neighbors: nbrs,
-			targets:   tgts,
-			rng:       root.Split(uint64(extv)),
-			shard:     w.sh,
-			runner:    w.r,
-		}
+		r.nodes[i] = nd
 	}
-	return w, nil
+	r.initContexts(st.ctxs, cfg.Lo, cfg.N, rng.New(cfg.Seed), neighbors, sh)
+	return &ShardWorker{cfg: cfg, r: r, st: st, sh: sh}, nil
 }
 
 // Live returns the number of not-yet-halted vertices in the shard.
@@ -743,9 +668,9 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	if in.Round != w.round {
 		return RoundOutput{}, fmt.Errorf("congest: shard %d expected round %d, got %d", w.cfg.Index, w.round, in.Round)
 	}
-	width := w.cfg.Hi - w.cfg.Lo
-	if len(in.InboxLens) != width {
-		return RoundOutput{}, fmt.Errorf("congest: shard %d got %d inbox lengths for %d vertices", w.cfg.Index, len(in.InboxLens), width)
+	st, sh := w.st, w.sh
+	if len(in.InboxLens) != len(st.inboxLen) {
+		return RoundOutput{}, fmt.Errorf("congest: shard %d got %d inbox lengths for %d vertices", w.cfg.Index, len(in.InboxLens), len(st.inboxLen))
 	}
 	total := 0
 	for i, l := range in.InboxLens {
@@ -753,7 +678,8 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 			//idspace:ok protocol error about internal storage addressing; internal ID is the useful one
 			return RoundOutput{}, fmt.Errorf("congest: shard %d got negative inbox length for vertex %d", w.cfg.Index, w.cfg.Lo+i)
 		}
-		w.off[i] = total
+		st.inboxOff[i] = total
+		st.inboxLen[i] = int(l)
 		total += int(l)
 	}
 	if total != len(in.Inbox) {
@@ -764,97 +690,49 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 			//idspace:ok protocol error about internal storage addressing; internal ID is the useful one
 			return RoundOutput{}, fmt.Errorf("congest: shard %d got fate for foreign vertex %d", w.cfg.Index, f.V)
 		}
-		w.fate[int(f.V)-w.cfg.Lo] = uint8(f.Fate)
+		if f.Fate != int32(faultsim.VertexDown) && f.Fate != int32(faultsim.VertexGone) {
+			return RoundOutput{}, fmt.Errorf("congest: shard %d got invalid fate %d", w.cfg.Index, f.Fate)
+		}
 	}
 
-	w.sh.events = w.sh.events[:0]
-	w.sh.out[0] = w.sh.out[0][:0]
-	w.halted = w.halted[:0]
-	w.sweep(in)
+	// Apply the fates as the coordinator's scanFates did: gone vertices
+	// retire, down vertices are masked out of this sweep.
+	st.arena = in.Inbox
+	clear(sh.down)
 	for _, f := range in.Fates {
-		w.fate[int(f.V)-w.cfg.Lo] = 0
+		v := int(f.V)
+		if f.Fate == int32(faultsim.VertexGone) {
+			sh.retire(v)
+		} else {
+			sh.down[v>>6-sh.lo>>6] |= 1 << uint(v&63)
+		}
 	}
+	sh.events = sh.events[:0]
+	sh.out[0] = sh.out[0][:0]
+	sh.halted = sh.halted[:0]
+	w.r.sweepShard(st, sh, in.Round)
 	w.round++
 
 	w.pkts = w.pkts[:0]
-	for _, a := range w.sh.out[0] {
+	for _, a := range sh.out[0] {
 		w.pkts = append(w.pkts, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
 	}
 	out := RoundOutput{
 		Packets: w.pkts,
-		Events:  w.sh.events,
-		Halted:  w.halted,
-		Draws:   w.draws(),
+		Events:  sh.events,
+		Halted:  sh.halted,
+		Draws:   st.draws(),
 	}
-	if w.sh.err != nil {
-		out.Err = w.sh.err.Error()
+	if sh.err != nil {
+		out.Err = sh.err.Error()
 	}
 	return out, nil
 }
 
-// sweep is the mirror of the in-process sweepShard over the worker's own
-// frontier: live vertices in ascending ID order, fates applied the way
-// the coordinator drew them, halts retiring frontier bits.
-func (w *ShardWorker) sweep(in RoundInput) {
-	sh := w.sh
-	round := in.Round
-	base := sh.lo >> 6
-	for wi := range sh.frontier {
-		wd := sh.frontier[wi]
-		if wd == 0 {
-			continue
-		}
-		vbase := (base + wi) << 6
-		for rem := wd; rem != 0; {
-			b := bits.TrailingZeros64(rem)
-			rem &^= 1 << uint(b)
-			v := vbase + b
-			i := v - w.cfg.Lo
-			if f := w.fate[i]; f != 0 {
-				if f == uint8(faultsim.VertexGone) {
-					sh.frontier[wi] &^= 1 << uint(b)
-					sh.liveCount--
-				}
-				continue
-			}
-			ctx := &w.ctxs[i]
-			ctx.round = round
-			if round == 0 {
-				w.nodes[i].Init(ctx)
-			} else {
-				off := w.off[i]
-				end := off + int(in.InboxLens[i])
-				w.nodes[i].Round(ctx, in.Inbox[off:end:end])
-			}
-			if ctx.halted {
-				sh.frontier[wi] &^= 1 << uint(b)
-				sh.liveCount--
-				// Halted addresses the coordinator's internal frontier;
-				// the trace event reports the external identity.
-				w.halted = append(w.halted, int32(v))
-				if w.r.traced {
-					sh.events = append(sh.events, trace.Event{
-						Type: trace.EvHalt, Round: int32(round), V: int32(w.extID(v)),
-					})
-				}
-			}
-		}
-	}
-}
-
-// draws sums the cumulative draw counts of the shard's node streams.
-func (w *ShardWorker) draws() uint64 {
-	var d uint64
-	for i := range w.ctxs {
-		d += w.ctxs[i].rng.Draws()
-	}
-	return d
-}
-
 // Outputs exports every owned vertex's terminal state, in vertex order.
 func (w *ShardWorker) Outputs() []uint64 {
-	vals := make([]uint64, len(w.nodes))
-	for i, nd := range w.nodes {
+	vals := make([]uint64, len(w.r.nodes))
+	for i, nd := range w.r.nodes {
 		vals[i] = nd.(Porter).ExportState()
 	}
 	return vals

@@ -40,10 +40,10 @@ const cmdMerge = -1
 // operations per worker per round). Delivery happens on the coordinator
 // between rounds — except that on a reliable network the
 // destination-bucketed merge (deliverBuckets) ships one merge task per
-// shard back to these same workers when volume is high. Between rounds the
-// coordinator may also re-cut the shard ranges by live weight
-// (rebalance.go); workers always sweep st.shards[s], whose range the
-// rebalancer updates in place.
+// shard back to these same workers when volume is high. Between rounds
+// runLoop may also re-cut the shard ranges by live weight (rebalance.go);
+// workers always sweep st.shards[s], whose range the rebalancer updates in
+// place.
 func (r *Runner) runPool() (Result, error) {
 	n := r.g.N()
 	workers := r.opts.WorkerCount(n)
@@ -109,12 +109,9 @@ func (r *Runner) runPool() (Result, error) {
 	// per-empty-shard coordination cost of the tail rounds, where
 	// shattering has halted most of the graph. A skipped shard's worker
 	// is idle for the round, so the coordinator may safely clear its
-	// timing residue. Before dispatch, while every worker is parked, the
-	// coordinator re-cuts skewed shard layouts by live weight.
+	// timing residue. runLoop re-cuts skewed shard layouts by live weight
+	// before this runs, while every worker is parked.
 	sweep := func(round int) {
-		if round > 0 {
-			st.maybeRebalance(round)
-		}
 		dispatched := 0
 		for s, start := range starts {
 			if st.shards[s].liveCount == 0 {

@@ -55,13 +55,9 @@ func (r *Runner) endRound(st *execState, round int) {
 	}
 	sent := st.sent - st.observed
 	st.observed = st.sent
-	draws := uint64(0)
-	if st.remote {
-		draws = st.remoteDraws
-	} else {
-		for v := range st.ctxs {
-			draws += st.ctxs[v].rng.Draws()
-		}
+	draws := st.remoteDraws
+	if !st.remote {
+		draws = st.draws()
 	}
 	var faultDraws uint64
 	if st.faults != nil {

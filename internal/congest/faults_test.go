@@ -6,6 +6,7 @@ package congest
 // runs is covered separately by crossdriver_test.go.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -179,5 +180,51 @@ func TestInitRunsEvenWhenCrashedAtRoundOne(t *testing.T) {
 	}
 	if arr := r.Node(1).(*recorder).arrivals; len(arr) == 0 || arr[0] != 1 {
 		t.Fatalf("vertex 1 arrivals %v, want the Init message in round 1", arr)
+	}
+}
+
+// porterRecorder is a recorder the shard worker accepts (distributed runs
+// need every node to be a Porter).
+type porterRecorder struct{ recorder }
+
+func (*porterRecorder) ExportState() uint64 { return 0 }
+func (*porterRecorder) ImportState(uint64)  {}
+
+// TestShardWorkerAppliesFates drives a shard worker directly: a shipped
+// down fate skips the vertex for that round only, a gone fate retires it
+// for good, and a fate that is neither, or one for a vertex outside the
+// shard, is a protocol error.
+func TestShardWorkerAppliesFates(t *testing.T) {
+	g := graph.MustNew(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	nodes := make([]*porterRecorder, 4)
+	w, err := NewShardWorker(ShardConfig{NumShards: 1, Hi: 4, N: 4, Seed: 1}, g.Neighbors, nil, func(v int) Node {
+		nodes[v] = &porterRecorder{recorder{stopAt: 10}}
+		return nodes[v]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens := make([]int32, 4)
+	for round, fates := range [][]VertexFate{
+		nil,
+		{{V: 1, Fate: int32(faultsim.VertexDown)}, {V: 2, Fate: int32(faultsim.VertexGone)}},
+		nil,
+	} {
+		if _, err := w.Sweep(RoundInput{Round: round, Fates: fates, InboxLens: lens}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if w.Live() != 3 {
+		t.Fatalf("live = %d after a gone fate, want 3", w.Live())
+	}
+	for v, want := range [][]int{{1, 2}, {2}, nil, {1, 2}} {
+		if got := nodes[v].execs; !slices.Equal(got, want) {
+			t.Fatalf("vertex %d executed rounds %v, want %v", v, got, want)
+		}
+	}
+	for _, f := range []VertexFate{{V: 0, Fate: 7}, {V: 0, Fate: int32(faultsim.VertexUp)}, {V: 4, Fate: int32(faultsim.VertexDown)}} {
+		if _, err := w.Sweep(RoundInput{Round: 3, Fates: []VertexFate{f}, InboxLens: lens}); err == nil {
+			t.Fatalf("fate %+v accepted", f)
+		}
 	}
 }

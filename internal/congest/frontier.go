@@ -10,8 +10,9 @@ import "math/bits"
 // shard's base), so rebalancing on word-aligned cuts moves whole words and
 // a whole-graph gather (rebalance.go) is a word-wise OR.
 //
-// The bitset is grow-only within a run: sweepShard clears bits as nodes
-// halt or crash for good, and nothing ever resurrects a cleared bit.
+// The bitset only loses bits within a run: sweepShard clears them as nodes
+// halt and the fate scan as nodes crash for good, and nothing ever
+// resurrects a cleared bit.
 // liveCount mirrors the popcount so the empty-shard skip is O(1).
 
 // frontierWords returns the word count a frontier over [lo, hi) needs.
@@ -22,37 +23,16 @@ func frontierWords(lo, hi int) int {
 	return (hi-1)>>6 - lo>>6 + 1
 }
 
-// resetFrontier points the shard at [lo, hi) with every vertex live. The
-// word storage is reused when capacity allows, so a rebalance in steady
-// state allocates nothing (ranges only shrink in word count as nodes halt).
-func (sh *shard) resetFrontier(lo, hi int) {
-	sh.lo, sh.hi = lo, hi
-	words := frontierWords(lo, hi)
-	if cap(sh.frontier) < words {
-		sh.frontier = make([]uint64, words)
-	} else {
-		sh.frontier = sh.frontier[:words]
-	}
-	base := lo >> 6
-	for wi := range sh.frontier {
-		vbase := (base + wi) << 6
-		wd := ^uint64(0)
-		if vbase < lo {
-			wd &= ^uint64(0) << uint(lo-vbase)
-		}
-		if vbase+64 > hi {
-			wd &= ^uint64(0) >> uint(vbase+64-hi)
-		}
-		sh.frontier[wi] = wd
-	}
-	sh.liveCount = hi - lo
-}
+// resetFrontier points the shard at [lo, hi) with every vertex live.
+func (sh *shard) resetFrontier(lo, hi int) { sh.loadFrontier(lo, hi, nil) }
 
 // loadFrontier points the shard at [lo, hi) with liveness copied from the
-// whole-graph bitset global (indexed by v>>6), masking the partial edge
-// words. Rebalancing cuts on word boundaries, so in practice the masks are
-// no-ops except at n's final partial word; the masking keeps the function
-// correct for any range.
+// whole-graph bitset global (indexed by v>>6; nil means every vertex is
+// live), masking the partial edge words. Rebalancing cuts on word
+// boundaries, so in practice the masks are no-ops except at n's final
+// partial word; the masking keeps the function correct for any range. The
+// word storage is reused when capacity allows, so a rebalance in steady
+// state allocates nothing (ranges only shrink in word count as nodes halt).
 func (sh *shard) loadFrontier(lo, hi int, global []uint64) {
 	sh.lo, sh.hi = lo, hi
 	words := frontierWords(lo, hi)
@@ -65,7 +45,10 @@ func (sh *shard) loadFrontier(lo, hi int, global []uint64) {
 	count := 0
 	for wi := range sh.frontier {
 		vbase := (base + wi) << 6
-		wd := global[base+wi]
+		wd := ^uint64(0)
+		if global != nil {
+			wd = global[base+wi]
+		}
 		if vbase < lo {
 			wd &= ^uint64(0) << uint(lo-vbase)
 		}
@@ -76,4 +59,15 @@ func (sh *shard) loadFrontier(lo, hi int, global []uint64) {
 		count += bits.OnesCount64(wd)
 	}
 	sh.liveCount = count
+}
+
+// retire clears vertex v from the frontier; a no-op when v is not live.
+//
+//idspace:internal v
+func (sh *shard) retire(v int) {
+	wi, bit := v>>6-sh.lo>>6, uint64(1)<<uint(v&63)
+	if sh.frontier[wi]&bit != 0 {
+		sh.frontier[wi] &^= bit
+		sh.liveCount--
+	}
 }

@@ -28,8 +28,9 @@ const rebalanceMinPerShard = 64
 
 // maybeRebalance re-partitions the shards when the live histogram is
 // skewed: the fullest shard holds more than 1.5× the mean live weight and
-// there is enough total work to be worth splitting. Called by the pool
-// coordinator between rounds (workers idle, outboxes empty).
+// there is enough total work to be worth splitting. Called by runLoop for
+// the pool driver between rounds (workers idle, outboxes empty), before
+// the round's fate scan.
 func (st *execState) maybeRebalance(round int) {
 	numShards := len(st.shards)
 	if numShards < 2 {

@@ -13,8 +13,8 @@
 // deterministic (no maps, no timestamps inside deterministic payloads);
 // the advisory frame-byte and latency measurements the connections take
 // are reported out of band of the replay digest. Socket I/O helpers that
-// must touch the wall clock or spawn goroutines (dial retries, metrics
-// servers) carry //lint:advisory escapes with their reasons.
+// must touch the wall clock (dial retries, liveness deadlines, latency
+// measurements) carry //lint:advisory escapes with their reasons.
 package distrib
 
 import (
@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"repro/internal/congest"
+	"repro/internal/faultsim"
 	"repro/internal/trace"
 )
 
@@ -35,8 +36,7 @@ const (
 	// fkConfig is coordinator → worker: the shard's run configuration,
 	// program spec and adjacency. First frame on every connection.
 	fkConfig frameKind = iota + 1
-	// fkHello is worker → coordinator: config accepted; carries the
-	// worker's metrics listen address ("" when metrics are off).
+	// fkHello is worker → coordinator: config accepted. It has no body.
 	fkHello
 	// fkRound is coordinator → worker: one round's input batch.
 	fkRound
@@ -204,14 +204,13 @@ func payloadKind(p []byte) (frameKind, *decoder, error) {
 
 // configMsg is the fkConfig payload: the engine shard config, the
 // program spec, the owned vertices' adjacency (internal order under a
-// non-identity layout), the whole graph's internal→external ID map (empty
-// for identity), and the requested metrics listen address.
+// non-identity layout), and the whole graph's internal→external ID map
+// (empty for identity).
 type configMsg struct {
-	cfg         congest.ShardConfig
-	prog        Program
-	adj         [][]int
-	ext         []int // internal -> external IDs for the whole graph; nil = identity
-	metricsAddr string
+	cfg  congest.ShardConfig
+	prog Program
+	adj  [][]int
+	ext  []int // internal -> external IDs for the whole graph; nil = identity
 }
 
 // encodeConfig serializes a configMsg. Adjacency lists are sorted
@@ -237,7 +236,6 @@ func encodeConfig(e *encoder, m configMsg) {
 	for _, a := range m.prog.Args {
 		e.fix64(a)
 	}
-	e.str(m.metricsAddr)
 	e.u64(uint64(len(m.ext)))
 	for _, x := range m.ext {
 		e.u64(uint64(x))
@@ -313,9 +311,6 @@ func decodeConfig(d *decoder) (configMsg, error) {
 			return m, err
 		}
 	}
-	if m.metricsAddr, err = d.str("config.metrics-addr"); err != nil {
-		return m, err
-	}
 	if m.cfg.Lo < 0 || m.cfg.Hi < m.cfg.Lo || m.cfg.Hi > m.cfg.N {
 		//idspace:ok the shard range is an internal-order concept; the error describes it as such
 		return m, fmt.Errorf("distrib: config shard range [%d, %d) invalid for n=%d", m.cfg.Lo, m.cfg.Hi, m.cfg.N)
@@ -376,19 +371,10 @@ func decodeConfig(d *decoder) (configMsg, error) {
 	return m, d.done()
 }
 
-// encodeHello serializes the worker's post-config acknowledgement.
-func encodeHello(e *encoder, metricsAddr string) {
+// encodeHello serializes the worker's post-config acknowledgement (a bare
+// kind byte; the coordinator checks the empty body with done).
+func encodeHello(e *encoder) {
 	e.reset(fkHello)
-	e.str(metricsAddr)
-}
-
-// decodeHello parses an fkHello body.
-func decodeHello(d *decoder) (string, error) {
-	addr, err := d.str("hello.metrics-addr")
-	if err != nil {
-		return "", err
-	}
-	return addr, d.done()
 }
 
 // encodeRound serializes one round input.
@@ -512,6 +498,9 @@ func (sc *decodeScratch) round(d *decoder) (congest.RoundInput, error) {
 		fate, err := d.u8("round.fate")
 		if err != nil {
 			return in, err
+		}
+		if fate != byte(faultsim.VertexDown) && fate != byte(faultsim.VertexGone) {
+			return in, d.errAt("round.fate", fmt.Sprintf("invalid fate %d (want down or gone)", fate))
 		}
 		in.Fates[i] = congest.VertexFate{V: int32(v), Fate: int32(fate)}
 	}

@@ -49,13 +49,11 @@ func decodeAs(payload []byte) error {
 	switch kind {
 	case fkConfig:
 		_, err = decodeConfig(dec)
-	case fkHello:
-		_, err = decodeHello(dec)
 	case fkRound:
 		_, err = decodeRound(dec)
 	case fkSweep:
 		_, err = decodeSweep(dec)
-	case fkFinish:
+	case fkHello, fkFinish:
 		err = dec.done()
 	case fkOutputs:
 		_, err = decodeOutputs(dec)
@@ -151,9 +149,8 @@ func TestConfigRoundTrip(t *testing.T) {
 			Seed: math.MaxUint64, MessageBitLimit: 128, Traced: true,
 			Layout: "degsort",
 		},
-		prog:        Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
-		adj:         [][]int{{0, 1, 1<<20 - 1}, {}, {13}, {3, 7, 11, 12}},
-		metricsAddr: "127.0.0.1:0",
+		prog: Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
+		adj:  [][]int{{0, 1, 1<<20 - 1}, {}, {13}, {3, 7, 11, 12}},
 	}
 	var e encoder
 	encodeConfig(&e, m)
@@ -177,10 +174,10 @@ func TestConfigRoundTrip(t *testing.T) {
 // TestSmallFramesRoundTrip covers hello, outputs, error and finish.
 func TestSmallFramesRoundTrip(t *testing.T) {
 	var e encoder
-	encodeHello(&e, "10.0.0.1:9999")
+	encodeHello(&e)
 	_, dec, _ := payloadKind(e.buf)
-	if addr, err := decodeHello(dec); err != nil || addr != "10.0.0.1:9999" {
-		t.Fatalf("hello round trip: %q, %v", addr, err)
+	if err := dec.done(); err != nil {
+		t.Fatalf("hello frame should carry no body: %v", err)
 	}
 	vals := []uint64{0, 1, math.MaxUint64}
 	encodeOutputs(&e, vals)
@@ -210,7 +207,7 @@ func samplePayloads() map[string][]byte {
 		adj:  [][]int{{0, 3}, {1}},
 	})
 	out["config"] = append([]byte(nil), e.buf...)
-	encodeHello(&e, "127.0.0.1:41234")
+	encodeHello(&e)
 	out["hello"] = append([]byte(nil), e.buf...)
 	encodeRound(&e, congest.RoundInput{
 		Round:     2,
@@ -277,8 +274,8 @@ func TestTrailingBytesRejected(t *testing.T) {
 func TestCorruptCountsRejected(t *testing.T) {
 	var e encoder
 	e.reset(fkRound)
-	e.u64(0)        // round
-	e.u64(1 << 40)  // absurd fate count
+	e.u64(0)       // round
+	e.u64(1 << 40) // absurd fate count
 	_, dec, _ := payloadKind(e.buf)
 	if _, err := decodeRound(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd fate count not rejected: %v", err)
@@ -297,6 +294,27 @@ func TestCorruptCountsRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidFateRejected corrupts a round's fate byte: only down (1) and
+// gone (2) travel the wire, and anything else must fail the decode rather
+// than reach a worker that would treat it as down.
+func TestInvalidFateRejected(t *testing.T) {
+	for _, fate := range []byte{0, 3, 7, 255} {
+		var e encoder
+		e.reset(fkRound)
+		e.u64(1) // round
+		e.u64(1) // fate count
+		e.u64(0) // fate vertex
+		e.u8(fate)
+		e.u64(0) // inbox lengths
+		e.u64(0) // inbox
+		_, dec, _ := payloadKind(e.buf)
+		_, err := decodeRound(dec)
+		if err == nil || !strings.Contains(err.Error(), "round.fate") {
+			t.Fatalf("fate byte %d not rejected: %v", fate, err)
+		}
+	}
+}
+
 // TestNonAscendingAdjacencyRejected corrupts a config's delta-coded
 // adjacency with a zero delta (a duplicate neighbor).
 func TestNonAscendingAdjacencyRejected(t *testing.T) {
@@ -311,7 +329,6 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 	e.str("")  // layout
 	e.str("metivier")
 	e.u64(0) // args
-	e.str("")
 	e.u64(0) // ext: identity
 	e.u64(3) // degree of vertex 0
 	e.u64(4)
@@ -382,7 +399,6 @@ func TestConfigExtRejected(t *testing.T) {
 		e.str("")  // layout
 		e.str("metivier")
 		e.u64(0) // args
-		e.str("")
 		e.u64(extCount)
 		for _, x := range ext {
 			e.u64(x)
@@ -420,7 +436,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 	mkRound := func(nMsgs, nFates, nLens int) congest.RoundInput {
 		in := congest.RoundInput{Round: int(r.Uint64() % 100)}
 		for i := 0; i < nFates; i++ {
-			in.Fates = append(in.Fates, congest.VertexFate{V: int32(i), Fate: int32(r.Uint64() % 3)})
+			in.Fates = append(in.Fates, congest.VertexFate{V: int32(i), Fate: int32(1 + r.Uint64()%2)})
 		}
 		for i := 0; i < nLens; i++ {
 			in.InboxLens = append(in.InboxLens, 0)
@@ -574,7 +590,7 @@ func TestFrameConnRoundTrip(t *testing.T) {
 	fa, fb := newFrameConn(a), newFrameConn(b)
 
 	var e encoder
-	encodeHello(&e, "addr")
+	encodeHello(&e)
 	sent := append([]byte(nil), e.buf...)
 	errc := make(chan error, 1)
 	go func() { errc <- fa.writeFrame(sent) }()

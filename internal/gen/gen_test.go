@@ -2,6 +2,8 @@ package gen
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -456,6 +458,64 @@ func TestRandomRegularDeterministic(t *testing.T) {
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatal("same seed, different graphs")
+		}
+	}
+}
+
+// TestFamilyRejectsBadInput drives the shared -family constructor with
+// every parameter the generators cannot take: each must be an error, not
+// a panic or a degenerate graph.
+func TestFamilyRejectsBadInput(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		family string
+		n      int
+		alpha  int
+		p      float64
+		want   string
+	}{
+		{"union", -5, 2, 0.01, "n must be positive"},
+		{"tree", 0, 2, 0.01, "n must be positive"},
+		{"union", 64, 0, 0.01, "alpha must be at least 1"},
+		{"pa", 64, 0, 0.01, "alpha must be in [1, n)"},
+		{"pa", 3, 3, 0.01, "alpha must be in [1, n)"},
+		{"gnp", 64, 2, 2, "p must be a probability"},
+		{"gnp", 64, 2, -0.1, "p must be a probability"},
+		{"gnp", 64, 2, nan, "p must be a probability"},
+		{"rgg", 64, 2, -1, "radius"},
+		{"rgg", 64, 2, nan, "radius"},
+		{"hypercube", 64, 2, 0.01, "unknown family"},
+	}
+	for _, c := range cases {
+		g, err := Family(c.family, c.n, c.alpha, c.p, 1)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Family(%q, n=%d, alpha=%d, p=%v) = %v, %v; want error containing %q",
+				c.family, c.n, c.alpha, c.p, g, err, c.want)
+		}
+	}
+}
+
+// TestFamilyMatchesGenerators pins Family to the generators it wraps:
+// the same seed gives the same graph as calling the generator directly.
+func TestFamilyMatchesGenerators(t *testing.T) {
+	const n, alpha, seed = 100, 3, 7
+	grid := Grid(10, 10)
+	rgg, _ := RandomGeometric(n, 0.2, rng.New(seed))
+	want := map[string]*graph.Graph{
+		"tree":  RandomTree(n, rng.New(seed)),
+		"union": UnionOfTrees(n, alpha, rng.New(seed)),
+		"grid":  grid,
+		"gnp":   GNP(n, 0.2, rng.New(seed)),
+		"pa":    PreferentialAttachment(n, alpha, rng.New(seed)),
+		"rgg":   rgg,
+	}
+	for name, w := range want {
+		g, err := Family(name, n, alpha, 0.2, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g.N() != w.N() || !reflect.DeepEqual(g.Edges(), w.Edges()) {
+			t.Fatalf("%s: Family graph differs from the generator's", name)
 		}
 	}
 }
