@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate smoke perfbench-check ci loc bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
+.PHONY: build test vet misvet race cover alloc-gate smoke artifacts-check perfbench-check ci loc bench
 
 build:
 	go build ./...
@@ -66,17 +66,24 @@ alloc-gate:
 	go test -run '^TestSteadyStateRound' -count=1 ./internal/congest/
 
 # Benchmark smoke: the performance experiments at test size in one
-# compile — E17 tracing modes and E18 allocation profile (counters and
-# fingerprints agree across modes/drivers), E19 scaling (sequential + pool
-# at two worker counts, clean and faulted fingerprints forced identical),
-# E20 dynamic MIS (sequential/pool stream-fingerprint equality), E21
-# distributed driver (shard worker processes over unix sockets reproduce
-# the sequential fingerprint, clean and faulted) and E22 layouts
-# (within-layout sequential/pool fingerprint equality). Any divergence
-# fails the run. Fast (a few seconds); runs in ci. The full trajectories
-# are the bench-* targets below.
+# compile, through the same producers as the BENCH_*.json artifacts — the
+# Métivier suites E17 (tracing modes), E18 (allocation profile), E19
+# (sequential + pool at two worker counts) and E21 (sequential + two
+# fleets of shard worker processes over unix sockets), each forcing
+# counters and clean/faulted fingerprints identical across its cells,
+# E20 dynamic MIS (sequential/pool stream-fingerprint equality) and E22
+# layouts (within-layout sequential/pool fingerprint equality). Any
+# divergence fails the run. Fast (a few seconds); runs in ci. The full
+# trajectories are the bench-% targets below.
 smoke:
 	go run ./cmd/bench -quick -only E17,E18,E19,E20,E21,E22
+
+# Artifact determinism gate: BENCH_faults.json records no timings, so
+# regenerating it must reproduce the committed file byte for byte. Fast
+# (about a second); runs in ci.
+artifacts-check:
+	@tmp=$$(mktemp -d) && go run ./cmd/bench -artifact $$tmp/BENCH_faults.json >/dev/null && \
+		cmp $$tmp/BENCH_faults.json BENCH_faults.json; status=$$?; rm -rf $$tmp; exit $$status
 
 # Benchmark build check: perfbench/ is its own module (it requires this
 # one through a replace directive), so the root `go build ./...` never
@@ -87,9 +94,9 @@ perfbench-check:
 
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
-# floors, allocation gate, benchmark smoke (E17–E22), benchmark build
-# check.
-ci: test vet misvet race cover alloc-gate smoke perfbench-check
+# floors, allocation gate, benchmark smoke (E17–E22), artifact
+# determinism gate, benchmark build check.
+ci: test vet misvet race cover alloc-gate smoke artifacts-check perfbench-check
 
 # Go line counts per package: non-test and test files, then the module
 # totals — the figures a PR reports as its net line count. Not part of ci.
@@ -101,59 +108,34 @@ loc:
 		printf '%8d %8d  %s\n' $$src $$tst $$pkg; \
 	done | awk '{ print; src += $$1; tst += $$2 } END { printf "%8d %8d  total\n", src, tst }'
 
-# Refresh the seed-pinned fault-tolerance sweep (safety must hold at every
-# fault intensity; rounds and coverage are the recorded trajectory).
-bench-faults:
-	go run ./cmd/bench -faults BENCH_faults.json
-
-# Refresh the seed-pinned tracing-overhead trajectory (E17: off / ring /
-# JSONL are the recorded modes; the ring recorder must stay within 15%
-# wall-clock overhead at n = 2^14 on the pool driver or the run fails).
-bench-trace:
-	go run ./cmd/bench -trace-bench BENCH_trace.json
-
-# Refresh the seed-pinned allocation trajectory (E18: allocations and
-# bytes per run, allocations per message, messages/sec per driver at
-# n = 2^14).
-bench-alloc:
-	go run ./cmd/bench -alloc-bench BENCH_alloc.json
-
-# Refresh the seed-pinned cores × n scaling trajectory (E19 / DESIGN.md
-# S27: sequential + pool at workers ∈ {1,2,4,8,GOMAXPROCS} across
-# n ∈ {2^18, 2^20, 2^22}, every cell's clean and faulted fingerprints
-# forced bit-identical). GOMAXPROCS is raised to the widest request for
-# the run; on fewer physical cores the wall-clock curve is hardware-bound
-# and the artifact records num_cpu so the bound is visible.
-bench-scale:
-	go run ./cmd/bench -scale-bench BENCH_scale.json
-
-# Refresh the seed-pinned dynamic-MIS trajectory (E20 / DESIGN.md S28:
-# incremental-repair vs full-recompute throughput and the repaired-region
-# size distribution on low-locality streams over tree and union-of-trees
-# at n ∈ {2^12, 2^14, 2^16}). The n = 2^16 rows must beat full
-# recomputation by ≥ 10x or the run fails; the sequential and pool
-# drivers must agree on every stream fingerprint.
-bench-dynmis:
-	go run ./cmd/bench -dynmis-bench BENCH_dynmis.json
-
-# Refresh the seed-pinned distributed-driver trajectory (E21: fleet shapes
-# shards ∈ {1,2,4,8} at n = 2^10, each a set of worker OS processes over
-# unix sockets; every shape must reproduce the sequential run's
-# deterministic fingerprint bit-for-bit, clean and faulted, or the run
-# fails; frame bytes and round-trip latency per round are the recorded
-# transport cost).
-bench-dist:
-	go run ./cmd/bench -dist-bench BENCH_dist.json
-
-# Refresh the seed-pinned layout-locality trajectory (E22 / DESIGN.md S30:
-# identity vs degsort vs bfs over scrambled union / powerlaw / grid at
-# n ∈ {2^16, 2^18, 2^20}, timed on the sequential driver and the pool at
-# 4 workers; within every layout the sequential and pool fingerprints are
-# forced identical, and the best non-identity sequential layout on the
-# densest family at the largest n must beat identity by ≥ 1.15x or the
-# run fails).
-bench-layout:
-	go run ./cmd/bench -layout-bench BENCH_layout.json
+# Refresh one seed-pinned artifact: `make bench-<name>` regenerates
+# BENCH_<name>.json through `cmd/bench -artifact` at the size pinned in
+# internal/exp, and fails if a determinism check or an acceptance bar
+# does (the file is still written on a bar miss):
+#   - alloc (E18): allocations, bytes and msgs/s per in-process driver
+#     at n = 2^14.
+#   - trace (E17): tracing off / ring / JSONL on the pool driver at
+#     n = 2^14; ring must stay within 15% wall-clock overhead.
+#   - scale (E19 / DESIGN.md S27): sequential + pool at workers ∈
+#     {1,2,4,8,GOMAXPROCS} over n ∈ {2^18, 2^20, 2^22}, clean and
+#     faulted. GOMAXPROCS is raised to the widest pool request; on
+#     fewer cores the curve is hardware-bound (num_cpu is recorded).
+#   - dist (E21 / S29): sequential + fleets of 1, 2, 4, 8 shard worker
+#     processes at n = 2^10, clean and faulted; frame bytes and
+#     round-trip latency per round are the recorded transport cost.
+#   - layout (E22 / S30): identity / degsort / bfs over scrambled union,
+#     powerlaw and grid at n ∈ {2^16, 2^18, 2^20}, sequential and pool at
+#     4 workers; the best non-identity sequential layout on the densest
+#     family at 2^20 must beat identity by ≥ 1.15x.
+#   - dynmis (E20 / S28): incremental repair vs full recompute on
+#     low-locality streams over tree and union at n ∈ {2^12, 2^14, 2^16};
+#     the 2^16 rows must win by ≥ 10x.
+#   - faults (E16): the fault sweep at n = 2^10 over 5 seeds; zero
+#     independence violations.
+# Every suite forces its cells' counters and clean/faulted fingerprints
+# identical; dynmis forces sequential/pool stream-fingerprint equality.
+bench-%:
+	go run ./cmd/bench -artifact BENCH_$*.json
 
 # Engine driver micro-benchmarks (ns/round per driver at n = 2^11, 2^14).
 bench:

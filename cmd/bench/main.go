@@ -3,15 +3,9 @@
 //
 // Usage:
 //
-//	bench [-quick] [-seeds N] [-seed S] [-only E1,E4,A2] [-parallel] [-workers W] [-format csv]
+//	bench [-quick] [-seeds N] [-seed S] [-only E1,E4,A2] [-parallel] [-workers W] [-format table|csv]
 //	bench [-trace run.jsonl] [-trace-format jsonl|chrome] ...
-//	bench -alloc-bench BENCH_alloc.json [-seed S]
-//	bench -trace-bench BENCH_trace.json [-seed S]
-//	bench -scale-bench BENCH_scale.json [-seed S]
-//	bench -layout-bench BENCH_layout.json [-seed S]
-//	bench -dynmis-bench BENCH_dynmis.json [-seed S]
-//	bench -dist-bench BENCH_dist.json [-seed S]
-//	bench -faults BENCH_faults.json [-seeds K] [-seed S]
+//	bench -artifact BENCH_<name>.json [-seed S]
 //	bench [-cpuprofile cpu.pprof] [-memprofile mem.pprof] ...
 //
 // Each experiment prints its table and notes; the process exits non-zero if
@@ -22,29 +16,20 @@
 // file — JSONL (replayable with cmd/traceview) or the Chrome trace-event
 // format (loadable in chrome://tracing).
 //
-// Each artifact flag runs one producer at the sizes pinned in
-// internal/exp (exp.RunArtifact), prints its table, writes the JSON
-// report, and exits non-zero if a determinism check or an acceptance bar
-// fails (the report is still written on a bar miss, so it records the
-// measured value):
-//
-//   - -alloc-bench, -trace-bench, -scale-bench, -layout-bench run the
-//     Métivier suites (E18, E17, E19, E22 at production size): every cell
-//     of a layout must agree on counters and fingerprints. Bars: ring
-//     tracing overhead ≤ 15% at n = 2^14 on the pool driver; the best
-//     non-identity layout ≥ 1.15x identity on the densest family at the
-//     largest n (2^20).
-//   - -dynmis-bench replays update streams through internal/dynmis;
-//     sequential and pool must agree on every stream fingerprint, and
-//     rows at n ≥ 2^16 must beat full recomputation by ≥ 10x.
-//   - -dist-bench runs fleets of shard worker processes; every shape must
-//     reproduce the sequential fingerprint, clean and faulted.
-//   - -faults sweeps the E16 fault scenarios; safety must hold (zero
-//     independence violations). -seeds sets its replications (default 5).
+// -artifact runs the BENCH_<name>.json producer its file's base name
+// names — alloc, trace, scale, dist and layout are the Métivier suites
+// of E18, E17, E19, E21 and E22, dynmis replays E20's update streams,
+// faults is E16's fault sweep — at the size pinned in internal/exp
+// (exp.RunArtifact). It prints the table, writes the JSON report, and
+// exits non-zero if a determinism check or an acceptance bar fails (the
+// report is still written on a bar miss, so it records the measured
+// value). Any other base name is a usage error, as is a -format other
+// than table or csv. The Makefile's bench-% rule lists each producer's
+// sizes and bars.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whatever work
-// the invocation did (experiments or one of the bench modes); inspect them
-// with `go tool pprof`. The memory profile is written at exit with an
+// the invocation did (experiments or an artifact); inspect them with
+// `go tool pprof`. The memory profile is written at exit with an
 // up-to-date heap picture (runtime.GC precedes the write).
 package main
 
@@ -53,8 +38,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,47 +52,72 @@ import (
 )
 
 func main() {
-	// Self-exec hook first: -dist-bench and E21 spawn ExecFleet workers by
-	// re-running this binary, which must never reach flag parsing.
+	// Self-exec hook first: the dist artifact and E21 spawn ExecFleet
+	// workers by re-running this binary, which must never reach flag
+	// parsing.
 	distrib.MaybeWorker()
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	quick := flag.Bool("quick", false, "use test-sized sweeps")
-	seeds := flag.Int("seeds", 0, "replications per point (0 = config default)")
-	seed := flag.Uint64("seed", 1, "root seed")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	parallel := flag.Bool("parallel", false, "use the sharded worker-pool engine")
-	workers := flag.Int("workers", 0, "worker-pool shard count (0 = GOMAXPROCS)")
-	format := flag.String("format", "table", "output format: table|csv")
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	tracePath := flag.String("trace", "", "stream every run's execution-trace events to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
-	artifacts := []struct {
-		name string
-		path *string
-	}{
-		{"alloc", flag.String("alloc-bench", "", "write allocation-profile JSON to this file and exit")},
-		{"trace", flag.String("trace-bench", "", "write tracing-overhead JSON to this file and exit")},
-		{"scale", flag.String("scale-bench", "", "write cores × n scaling JSON to this file and exit")},
-		{"layout", flag.String("layout-bench", "", "write layout × family × n locality JSON to this file and exit")},
-		{"dynmis", flag.String("dynmis-bench", "", "write dynamic-MIS incremental-repair JSON to this file and exit")},
-		{"dist", flag.String("dist-bench", "", "write distributed-driver fleet JSON to this file and exit")},
-		{"faults", flag.String("faults", "", "write fault-tolerance sweep JSON to this file and exit")},
+// artifactName derives the producer name from an artifact path's base
+// name, BENCH_<name>.json.
+func artifactName(path string) (string, error) {
+	base := filepath.Base(path)
+	name := strings.TrimSuffix(strings.TrimPrefix(base, "BENCH_"), ".json")
+	if base != "BENCH_"+name+".json" || !slices.Contains(exp.ArtifactNames(), name) {
+		return "", fmt.Errorf("artifact %q: the base name must be BENCH_<name>.json with name one of %s",
+			base, strings.Join(exp.ArtifactNames(), ", "))
 	}
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-	flag.Usage = func() {
-		out := flag.CommandLine.Output()
+	return name, nil
+}
+
+// usageError reports a bad invocation: exit status 2, as for a flag
+// parse error.
+func usageError(format string, args ...interface{}) int {
+	fmt.Fprintf(os.Stderr, "bench: "+format+"\n", args...)
+	return 2
+}
+
+func run(args []string) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "use test-sized sweeps")
+	seeds := fs.Int("seeds", 0, "replications per point (0 = config default)")
+	seed := fs.Uint64("seed", 1, "root seed")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
+	parallel := fs.Bool("parallel", false, "use the sharded worker-pool engine")
+	workers := fs.Int("workers", 0, "worker-pool shard count (0 = GOMAXPROCS)")
+	format := fs.String("format", "table", "output format: table|csv")
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	tracePath := fs.String("trace", "", "stream every run's execution-trace events to this file")
+	traceFormat := fs.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
+	artifact := fs.String("artifact", "", "run the producer named by the file's base name BENCH_<name>.json, write its JSON there and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the invocation to this file (go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+	fs.Usage = func() {
+		out := fs.Output()
 		fmt.Fprintf(out, "Usage: bench [flags]\n\nRegenerates the experiment tables of EXPERIMENTS.md.\n\nExperiments (-only):\n")
 		for _, d := range exp.All() {
 			fmt.Fprintf(out, "  %-4s %s\n", d.ID, d.Name)
 		}
-		fmt.Fprintf(out, "\nFlags:\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(out, "\nArtifacts (-artifact BENCH_<name>.json): %s\n\nFlags:\n", strings.Join(exp.ArtifactNames(), ", "))
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *format != "table" && *format != "csv" {
+		return usageError("unknown -format %q (want table or csv)", *format)
+	}
+	name := ""
+	if *artifact != "" {
+		var err error
+		if name, err = artifactName(*artifact); err != nil {
+			return usageError("%v", err)
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -138,10 +150,8 @@ func run() int {
 		}()
 	}
 
-	for _, a := range artifacts {
-		if *a.path != "" {
-			return writeArtifact(a.name, *a.path, *seed, *seeds)
-		}
+	if name != "" {
+		return writeArtifact(name, *artifact, *seed)
 	}
 
 	cfg := exp.DefaultConfig()
@@ -239,8 +249,8 @@ func run() int {
 
 // writeArtifact runs one BENCH_*.json producer, prints its table, and
 // writes its report — also when a bar fails, so the file records the miss.
-func writeArtifact(name, path string, seed uint64, seeds int) int {
-	report, table, err := exp.RunArtifact(name, seed, seeds)
+func writeArtifact(name, path string, seed uint64) int {
+	report, table, err := exp.RunArtifact(name, seed)
 	if report != nil {
 		fmt.Print(table.String())
 		if werr := writeReport(path, report); werr != nil {

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/dynmis"
+	"repro/internal/congest"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -12,11 +12,7 @@ import (
 // seed split off the config by label, enforces its bars, and wraps the
 // rendered rows in a Report.
 func suiteExperiment(c Config, name string, label uint64, id, title string) (*SuiteReport, *Report, error) {
-	size := sizeExperiment
-	if c.Quick {
-		size = sizeQuick
-	}
-	s, err := metivierSuite(name, size)
+	s, err := metivierSuite(name, c.size())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,6 +85,26 @@ func E19MulticoreScaling(c Config) (*Report, error) {
 	return rep, nil
 }
 
+// E21DistributedDriver runs a slice of the distributed-driver suite
+// (DESIGN.md S29): fleets of shard worker processes against the
+// sequential driver, asserting bit-identical clean and faulted
+// fingerprints while recording the transport cost per round. The
+// production fleet shapes at n = 2^10 are `make bench-dist`.
+func E21DistributedDriver(c Config) (*Report, error) {
+	bench, rep, err := suiteExperiment(c, "dist", 0xE21, "E21",
+		"distributed multi-process driver: bit-identical with sequential over sockets")
+	if err != nil {
+		return nil, err
+	}
+	seq := bench.Rows[0]
+	rep.Notes = append(rep.Notes,
+		fmt.Sprintf("every fleet reproduced the sequential fingerprints %s clean and %s faulted (plan: %s; enforced: divergence is an error)",
+			seq.FingerprintClean, seq.FingerprintFaulted, bench.FaultPlan),
+		"speedup divides the sequential row's warm best-of-reps wall time by the fleet's",
+		"fault/RNG draws stay on the coordinator in global sender order; workers are pure functions of (config, input sequence)")
+	return rep, nil
+}
+
 // E22LayoutLocality runs a slice of the layout × family matrix
 // (DESIGN.md S30): every ordering over every scrambled family, asserting
 // within-layout sequential/pool bit-identity while recording the
@@ -112,55 +128,37 @@ func E22LayoutLocality(c Config) (*Report, error) {
 	return rep, nil
 }
 
+// ArtifactNames lists the BENCH_<name>.json producers RunArtifact knows.
+func ArtifactNames() []string {
+	return append([]string{"dynmis", "faults"}, suiteNames...)
+}
+
 // RunArtifact runs the BENCH_<name>.json producer at its pinned artifact
-// sizes and checks its bars. It returns the report to write and its
-// rendered table; a bar miss returns them along with the error, so the
-// artifact records the measured value. seeds (0 = 5) is the fault
-// sweep's replication count.
-func RunArtifact(name string, seed uint64, seeds int) (interface{}, *stats.Table, error) {
-	var (
-		report interface{}
-		table  *stats.Table
-		bars   []Bar
-	)
+// size on seed and checks its bars. It returns the report to write and
+// its rendered table; a bar miss returns them along with the error, so
+// the artifact records the measured value.
+func RunArtifact(name string, seed uint64) (interface{}, *stats.Table, error) {
 	switch name {
 	case "dynmis":
-		var cases []DynmisBenchCase
-		for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
-			cases = append(cases, DynmisBenchCase{Family: "tree", N: n, Batches: 64},
-				DynmisBenchCase{Family: "union", N: n, Batches: 64})
-		}
-		cfg := dynmis.StreamConfig{BatchSize: 16, Locality: 0, Churn: 0.05}
-		r, err := RunDynmisBench(cases, cfg, seed)
+		r, err := runDynmisBench(sizeArtifact, seed)
 		if err != nil {
 			return nil, nil, err
 		}
-		report, table, bars = r, r.Table(), r.Bars
-	case "dist":
-		r, err := RunDistBench(1<<10, []int{1, 2, 4, 8}, seed, 3)
-		if err != nil {
-			return nil, nil, err
-		}
-		report, table = r, r.Table()
+		return r, r.Table(), checkBars(r.Bars)
 	case "faults":
-		if seeds < 1 {
-			seeds = 5
-		}
-		r, err := RunFaultBench(1<<10, seed, seeds)
+		r, err := RunFaultBench(faultSweepN(sizeArtifact), seed, 5, congest.Options{})
 		if err != nil {
 			return nil, nil, err
 		}
-		report, table, bars = r, r.Table(), r.Bars
-	default:
-		s, err := metivierSuite(name, sizeArtifact)
-		if err != nil {
-			return nil, nil, err
-		}
-		r, err := runSuite(s, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		report, table, bars = r, r.Table(), r.Bars
+		return r, r.Table(), checkBars(r.Bars)
 	}
-	return report, table, checkBars(bars)
+	s, err := metivierSuite(name, sizeArtifact)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := runSuite(s, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, r.Table(), checkBars(r.Bars)
 }

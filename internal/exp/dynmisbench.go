@@ -53,8 +53,7 @@ type DynmisBenchEntry struct {
 	MISSize int `json:"mis_size"`
 }
 
-// DynmisBenchReport is what cmd/bench -dynmis-bench writes to
-// BENCH_dynmis.json.
+// DynmisBenchReport is what cmd/bench -artifact BENCH_dynmis.json writes.
 type DynmisBenchReport struct {
 	Seed      uint64             `json:"seed"`
 	BatchSize int                `json:"batch_size"`
@@ -66,25 +65,35 @@ type DynmisBenchReport struct {
 	Bars []Bar `json:"bars,omitempty"`
 }
 
-// DynmisBenchCase names one (family, n, batches) cell of the sweep.
-type DynmisBenchCase struct {
-	Family  string
-	N       int
-	Batches int
+// dynmisCase names one (family, n, batches) cell of the sweep.
+type dynmisCase struct {
+	family  string
+	n       int
+	batches int
 }
 
-// dynmisBenchGraph builds the base graph for a benchmark case.
-func dynmisBenchGraph(family string, n int, r *rng.RNG) (*graph.Graph, error) {
-	switch family {
-	case "tree":
-		return gen.RandomTree(n, r), nil
-	case "union":
-		return gen.UnionOfTrees(n, 2, r), nil
-	case "gnp":
-		return gen.GNP(n, 4/float64(n), r), nil
-	default:
-		return nil, fmt.Errorf("dynmis bench: unknown family %q", family)
+// dynmisSweep is the dynamic-MIS sweep at a pinned size: E20's quick and
+// experiment slices and the BENCH_dynmis.json trajectory.
+func dynmisSweep(size sizing) ([]dynmisCase, dynmis.StreamConfig) {
+	cfg := dynmis.StreamConfig{BatchSize: 16, Locality: 0, Churn: 0.05}
+	switch size {
+	case sizeQuick:
+		cfg.BatchSize = 8
+		return []dynmisCase{{"tree", 1 << 8, 12}}, cfg
+	case sizeExperiment:
+		return []dynmisCase{{"tree", 1 << 12, 48}, {"union", 1 << 14, 48}}, cfg
 	}
+	var cases []dynmisCase
+	for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
+		cases = append(cases, dynmisCase{"tree", n, 64}, dynmisCase{"union", n, 64})
+	}
+	return cases, cfg
+}
+
+// dynmisFamilies generates the sweep's base graphs.
+var dynmisFamilies = map[string]func(n int, r *rng.RNG) *graph.Graph{
+	"tree":  gen.RandomTree,
+	"union": func(n int, r *rng.RNG) *graph.Graph { return gen.UnionOfTrees(n, 2, r) },
 }
 
 // dynmisRecomputeSamples caps how many batches the full-recompute baseline
@@ -93,15 +102,16 @@ func dynmisBenchGraph(family string, n int, r *rng.RNG) (*graph.Graph, error) {
 // (full runs on near-identical graphs have tiny variance).
 const dynmisRecomputeSamples = 8
 
-// RunDynmisBench measures the dynamic-MIS engine on generated update
-// streams: for every case it bootstraps an engine, replays the stream
-// timing the incremental repairs, replays it again on the pool driver
-// (enforcing a bit-identical stream fingerprint), and times the
-// full-recompute baseline — snapshot the live graph, run Métivier from
-// scratch — on a sample of the same batches. Rows from n = 2^16 up carry
-// the dynmisBar (incremental repair ≥ 10x full recomputation); callers
-// enforce it with checkBars.
-func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint64) (*DynmisBenchReport, error) {
+// runDynmisBench measures the dynamic-MIS engine on the generated update
+// streams of the sweep at size: for every case it bootstraps an engine,
+// replays the stream timing the incremental repairs, replays it again on
+// the pool driver (enforcing a bit-identical stream fingerprint), and
+// times the full-recompute baseline — snapshot the live graph, run
+// Métivier from scratch — on a sample of the same batches. Rows from
+// n = 2^16 up carry the dynmisBar (incremental repair ≥ 10x full
+// recomputation); callers enforce it with checkBars.
+func runDynmisBench(size sizing, seed uint64) (*DynmisBenchReport, error) {
+	cases, cfg := dynmisSweep(size)
 	report := &DynmisBenchReport{
 		Seed:      seed,
 		BatchSize: cfg.BatchSize,
@@ -111,25 +121,22 @@ func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint6
 	}
 	for ci, bc := range cases {
 		caseCfg := cfg
-		caseCfg.Batches = bc.Batches
+		caseCfg.Batches = bc.batches
 		root := rng.New(seed).Split(0xE20).Split(uint64(ci))
-		g, err := dynmisBenchGraph(bc.Family, bc.N, root.Split(1))
-		if err != nil {
-			return nil, err
-		}
+		g := dynmisFamilies[bc.family](bc.n, root.Split(1))
 		batches, err := dynmis.UpdateStream(g, caseCfg, root.Split(2))
 		if err != nil {
-			return nil, fmt.Errorf("dynmis bench: %s n=%d stream: %w", bc.Family, bc.N, err)
+			return nil, fmt.Errorf("dynmis bench: %s n=%d stream: %w", bc.family, bc.n, err)
 		}
 		engineSeed := root.Split(3).Uint64()
 
-		entry := DynmisBenchEntry{Family: bc.Family, N: g.N(), M: g.M(), Batches: len(batches)}
+		entry := DynmisBenchEntry{Family: bc.family, N: g.N(), M: g.M(), Batches: len(batches)}
 
 		// Sequential engine: the timed run.
 		start := time.Now()
 		e, err := dynmis.New(g, dynmis.Options{Seed: engineSeed})
 		if err != nil {
-			return nil, fmt.Errorf("dynmis bench: %s n=%d bootstrap: %w", bc.Family, bc.N, err)
+			return nil, fmt.Errorf("dynmis bench: %s n=%d bootstrap: %w", bc.family, bc.n, err)
 		}
 		entry.BootstrapNS = int64(time.Since(start))
 		regions := make([]int, 0, len(batches))
@@ -137,7 +144,7 @@ func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint6
 		for bi, b := range batches {
 			rep, err := e.Apply(b)
 			if err != nil {
-				return nil, fmt.Errorf("dynmis bench: %s n=%d batch %d: %w", bc.Family, bc.N, bi, err)
+				return nil, fmt.Errorf("dynmis bench: %s n=%d batch %d: %w", bc.family, bc.n, bi, err)
 			}
 			entry.Updates += rep.Updates
 			regions = append(regions, rep.Region)
@@ -156,25 +163,22 @@ func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint6
 		// Pool engine: untimed, fingerprint must match the sequential run.
 		ep, err := dynmis.New(g, dynmis.Options{Seed: engineSeed, Driver: congest.DriverPool})
 		if err != nil {
-			return nil, fmt.Errorf("dynmis bench: %s n=%d pool bootstrap: %w", bc.Family, bc.N, err)
+			return nil, fmt.Errorf("dynmis bench: %s n=%d pool bootstrap: %w", bc.family, bc.n, err)
 		}
 		for bi, b := range batches {
 			if _, err := ep.Apply(b); err != nil {
-				return nil, fmt.Errorf("dynmis bench: %s n=%d pool batch %d: %w", bc.Family, bc.N, bi, err)
+				return nil, fmt.Errorf("dynmis bench: %s n=%d pool batch %d: %w", bc.family, bc.n, bi, err)
 			}
 		}
 		if poolFP := fingerprintHex(ep.Fingerprint()); poolFP != entry.Fingerprint {
 			return nil, fmt.Errorf("dynmis bench: %s n=%d pool fingerprint %s != sequential %s",
-				bc.Family, bc.N, poolFP, entry.Fingerprint)
+				bc.family, bc.n, poolFP, entry.Fingerprint)
 		}
 
 		// Full-recompute baseline: replay the stream on a bare DGraph and,
 		// on a spread sample of batches, snapshot + full Métivier run.
 		d := dynmis.NewDGraph(g)
-		sample := dynmisRecomputeSamples
-		if sample > len(batches) {
-			sample = len(batches)
-		}
+		sample := min(dynmisRecomputeSamples, len(batches))
 		stride := 1
 		if sample > 0 {
 			stride = len(batches) / sample
@@ -184,7 +188,7 @@ func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint6
 		for bi, b := range batches {
 			for _, u := range b {
 				if err := applyToDGraph(d, u); err != nil {
-					return nil, fmt.Errorf("dynmis bench: %s n=%d baseline batch %d: %w", bc.Family, bc.N, bi, err)
+					return nil, fmt.Errorf("dynmis bench: %s n=%d baseline batch %d: %w", bc.family, bc.n, bi, err)
 				}
 			}
 			if stride == 0 || bi%stride != 0 || entry.RecomputeSampled >= sample {
@@ -193,7 +197,7 @@ func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint6
 			start = time.Now()
 			snap, _ := d.Snapshot()
 			if _, _, err := metivier.Run(snap, recomputeOptions(engineSeed, bi)); err != nil {
-				return nil, fmt.Errorf("dynmis bench: %s n=%d recompute batch %d: %w", bc.Family, bc.N, bi, err)
+				return nil, fmt.Errorf("dynmis bench: %s n=%d recompute batch %d: %w", bc.family, bc.n, bi, err)
 			}
 			recomputeWall += time.Since(start)
 			sampledUpdates += len(b)
@@ -270,17 +274,7 @@ func applyToDGraph(d *dynmis.DGraph, u dynmis.Update) error {
 // 2^16, where the 10x bar applies) comes from `make bench-dynmis`; the
 // quick config is the smoke-test slice.
 func E20DynamicUpdates(c Config) (*Report, error) {
-	cases := []DynmisBenchCase{
-		{Family: "tree", N: 1 << 12, Batches: 48},
-		{Family: "union", N: 1 << 14, Batches: 48},
-	}
-	cfg := dynmis.StreamConfig{BatchSize: 16, Locality: 0, Churn: 0.05}
-	if c.Quick {
-		cases = []DynmisBenchCase{{Family: "tree", N: 1 << 8, Batches: 12}}
-		cfg.BatchSize = 8
-	}
-	seed := rng.New(c.Seed).Split(0xE20).Uint64()
-	bench, err := RunDynmisBench(cases, cfg, seed)
+	bench, err := runDynmisBench(c.size(), rng.New(c.Seed).Split(0xE20).Uint64())
 	if err != nil {
 		return nil, err
 	}

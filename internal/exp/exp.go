@@ -56,6 +56,14 @@ func QuickConfig() Config {
 	return Config{Seed: 1, Seeds: 2, Quick: true}
 }
 
+// size is the pinned sizing the config's experiments run at.
+func (c Config) size() sizing {
+	if c.Quick {
+		return sizeQuick
+	}
+	return sizeExperiment
+}
+
 func (c Config) seeds() int {
 	if c.Seeds < 1 {
 		return 1
@@ -86,6 +94,16 @@ func withSink(events, sink trace.Sink) trace.Sink {
 		return sink
 	}
 	return fanoutSink{events, sink}
+}
+
+// fanoutSink forwards one event stream to several sinks.
+type fanoutSink []trace.Sink
+
+// Emit implements trace.Sink.
+func (s fanoutSink) Emit(e trace.Event) {
+	for _, x := range s {
+		x.Emit(e)
+	}
 }
 
 // graphRNG derives the generator stream for a labeled sub-experiment.

@@ -106,7 +106,7 @@ func TestOptsWireEvents(t *testing.T) {
 // TestRunFaultBench covers the BENCH_faults.json producer: every scenario
 // swept with zero safety violations and sane aggregates.
 func TestRunFaultBench(t *testing.T) {
-	rep, err := RunFaultBench(128, 3, 2)
+	rep, err := RunFaultBench(128, 3, 2, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +135,30 @@ func TestRunFaultBench(t *testing.T) {
 	clean := rep.Entries[0]
 	if clean.Scenario != "drop" || clean.Intensity != 0 || clean.Coverage != 1 || clean.Dropped != 0 {
 		t.Fatalf("clean baseline entry wrong: %+v", clean)
+	}
+}
+
+// TestE16SweepsEveryScenario checks that E16 renders the shared fault
+// sweep: one table row per (scenario, intensity), every scenario present.
+func TestE16SweepsEveryScenario(t *testing.T) {
+	rep, err := E16FaultTolerance(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(rep.Table.CSV()), "\n")[1:]
+	scenarios := map[string]bool{}
+	for _, row := range rows {
+		scenarios[strings.SplitN(row, ",", 2)[0]] = true
+	}
+	points := 0
+	for _, sc := range faultScenarios() {
+		points += len(sc.intensities)
+		if !scenarios[sc.name] {
+			t.Errorf("scenario %q missing from the E16 table:\n%s", sc.name, rep.Table)
+		}
+	}
+	if len(rows) != points {
+		t.Errorf("E16 table has %d rows, the sweep %d points", len(rows), points)
 	}
 }
 

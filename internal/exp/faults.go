@@ -7,7 +7,6 @@ import (
 	"repro/internal/congest"
 	"repro/internal/faultsim"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/mis/base"
 	"repro/internal/mis/ftmetivier"
 	"repro/internal/rng"
@@ -23,8 +22,9 @@ type faultScenario struct {
 	build       func(n int, x float64) faultsim.Plan
 }
 
-// faultScenarios returns the E16 / fault-bench sweep: every faultsim plan
-// kind at escalating intensities, plus a composed worst case.
+// faultScenarios returns the fault sweep of E16 and BENCH_faults.json:
+// every faultsim plan kind at escalating intensities, plus a composed
+// worst case.
 func faultScenarios() []faultScenario {
 	return []faultScenario{
 		{"drop", []float64{0, 0.02, 0.05, 0.1, 0.2}, func(_ int, p float64) faultsim.Plan {
@@ -62,77 +62,41 @@ func faultScenarios() []faultScenario {
 	}
 }
 
-// faultedRun executes fault-tolerant Métivier under plan and scores the
-// output with the faultsim checker.
-func faultedRun(g *graph.Graph, plan faultsim.Plan, opts congest.Options) (*faultsim.Report, congest.Result, bool, error) {
-	opts.Faults = plan
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 3 * ftmetivier.DefaultMaxIters * 2
-	}
-	st, res, err := ftmetivier.Run(g, opts)
-	if errors.Is(err, congest.ErrMaxRounds) {
-		return nil, res, true, nil
-	}
-	if err != nil {
-		return nil, res, false, err
-	}
-	crashed := faultsim.CrashedAt(plan, res.Rounds+1, g.N())
-	rep, err := faultsim.Check(g, base.MISSet(st), crashed)
-	if err != nil {
-		return nil, res, false, err
-	}
-	return rep, res, false, nil
-}
+// faultSweepN is the fault sweep's graph size at each pinned sizing.
+func faultSweepN(size sizing) int { return size.pick(1<<7, 1<<9, 1<<10) }
 
-// E16FaultTolerance sweeps the faultsim plan families against the
-// fault-tolerant Métivier variant: rounds and coverage degrade with fault
-// intensity, but independence (safety) must hold in every single run —
-// any violation fails the experiment outright. This is the constructive
-// counterpart of A4, which measures how the *plain* algorithm breaks.
+// E16FaultTolerance runs the BENCH_faults.json sweep at experiment size
+// on the config's driver and sinks: the faultsim plan families against
+// the fault-tolerant Métivier variant. Rounds and coverage degrade with
+// fault intensity, but independence (safety) must hold in every single
+// run and every run must terminate within its iteration budget — a
+// violation or a stall fails the experiment outright. This is the
+// constructive counterpart of A4, which measures how the *plain*
+// algorithm breaks.
 func E16FaultTolerance(c Config) (*Report, error) {
-	n := 1 << 9
-	if c.Quick {
-		n = 1 << 7
+	opts := c.opts(0xE16, 0)
+	bench, err := RunFaultBench(faultSweepN(c.size()), opts.Seed, c.seeds(), opts)
+	if err != nil {
+		return nil, fmt.Errorf("E16: %w", err)
 	}
-	table := stats.NewTable(fmt.Sprintf("E16 — fault intensity vs rounds and coverage (ftmetivier, union-of-trees, n=%d, α=2)", n),
-		"scenario", "intensity", "rounds", "coverage", "undecided", "crashed", "dropped/run", "delayed/run")
-	violations := 0
-	for si, sc := range faultScenarios() {
-		for _, x := range sc.intensities {
-			label := uint64(0xE16)<<32 | uint64(si)<<16 | uint64(x*1000)
-			var rounds, coverage, undecided, crashed, dropped, delayed stats.Summary
-			for i := 0; i < c.seeds(); i++ {
-				g := arbGraph(n, 2, c.graphRNG(label, i))
-				rep, res, stalled, err := faultedRun(g, sc.build(n, x), c.opts(label, i))
-				if err != nil {
-					return nil, fmt.Errorf("E16: %s x=%v: %w", sc.name, x, err)
-				}
-				if stalled {
-					return nil, fmt.Errorf("E16: %s x=%v: hit MaxRounds; the iteration budget must terminate every run", sc.name, x)
-				}
-				violations += len(rep.Violations)
-				rounds.Add(float64(res.Rounds))
-				coverage.Add(rep.Coverage())
-				undecided.Add(float64(rep.Undecided))
-				crashed.Add(float64(rep.Crashed))
-				dropped.Add(float64(res.Dropped))
-				delayed.Add(float64(res.Delayed))
-			}
-			table.AddRow(sc.name, x, rounds.Mean(), coverage.Mean(), undecided.Mean(), crashed.Mean(), dropped.Mean(), delayed.Mean())
+	for _, e := range bench.Entries {
+		if e.Stalled > 0 {
+			return nil, fmt.Errorf("E16: %s x=%v: %d run(s) hit MaxRounds; the iteration budget must terminate every run",
+				e.Scenario, e.Intensity, e.Stalled)
 		}
 	}
-	if violations > 0 {
-		return nil, fmt.Errorf("E16: %d independence violations — the conservative join rule is broken", violations)
+	if err := checkBars(bench.Bars); err != nil {
+		return nil, fmt.Errorf("E16: the conservative join rule is broken: %w", err)
 	}
-	rep := &Report{
+	return &Report{
 		ID:    "E16",
 		Title: "fault-tolerant MIS: safety holds under every fault plan; liveness (coverage) degrades with intensity",
-		Table: table,
-	}
-	rep.Notes = append(rep.Notes,
-		"zero independence violations across the whole sweep — positive-evidence joining is safe under loss, crashes and partitions.",
-		"coverage < 1 rows show the price: fault-stalled nodes give up undecided at the iteration budget instead of guessing.")
-	return rep, nil
+		Table: bench.Table(),
+		Notes: []string{
+			"zero independence violations across the whole sweep — positive-evidence joining is safe under loss, crashes and partitions.",
+			"coverage < 1 rows show the price: fault-stalled nodes give up undecided at the iteration budget instead of guessing.",
+		},
+	}, nil
 }
 
 // FaultBenchEntry is one (scenario, intensity) point in a fault bench run
@@ -155,7 +119,7 @@ type FaultBenchEntry struct {
 }
 
 // FaultBenchReport is the seed-pinned fault-tolerance trajectory that
-// cmd/bench -faults writes to BENCH_faults.json, so successive PRs can
+// cmd/bench -artifact BENCH_faults.json writes, so successive changes can
 // compare safety (always zero violations) and liveness under identical
 // fault plans.
 type FaultBenchReport struct {
@@ -169,11 +133,14 @@ type FaultBenchReport struct {
 	Bars []Bar `json:"bars"`
 }
 
-// RunFaultBench sweeps the E16 scenarios on one pinned workload:
+// RunFaultBench sweeps the fault scenarios on one pinned workload:
 // fault-tolerant Métivier on UnionOfTrees(n, 2), seeds replications per
-// point. Safety is an invariant of the bench, not a metric: the report's
-// bar holds the sweep to zero independence violations (checkBars).
-func RunFaultBench(n int, seed uint64, seeds int) (*FaultBenchReport, error) {
+// point, every run on opts's driver and sinks under a seed drawn from
+// the point's stream and capped at the iteration budget's round count.
+// Each output is scored by the faultsim checker. Safety is an invariant
+// of the sweep, not a metric: the report's bar holds it to zero
+// independence violations (checkBars).
+func RunFaultBench(n int, seed uint64, seeds int, opts congest.Options) (*FaultBenchReport, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -184,6 +151,7 @@ func RunFaultBench(n int, seed uint64, seeds int) (*FaultBenchReport, error) {
 		Seed:      seed,
 		Seeds:     seeds,
 	}
+	opts.MaxRounds = 3 * ftmetivier.DefaultMaxIters * 2
 	violations := 0
 	for si, sc := range faultScenarios() {
 		for _, x := range sc.intensities {
@@ -192,13 +160,19 @@ func RunFaultBench(n int, seed uint64, seeds int) (*FaultBenchReport, error) {
 			for i := 0; i < seeds; i++ {
 				stream := rng.New(seed).Split(uint64(si)<<16 | uint64(x*1000)).Split(uint64(i))
 				g := gen.UnionOfTrees(n, 2, stream)
-				rep, res, stalled, err := faultedRun(g, sc.build(n, x), congest.Options{Seed: stream.Uint64()})
-				if err != nil {
-					return nil, fmt.Errorf("fault bench: %s x=%v: %w", sc.name, x, err)
-				}
-				if stalled {
+				plan := sc.build(n, x)
+				opts.Seed, opts.Faults = stream.Uint64(), plan
+				st, res, err := ftmetivier.Run(g, opts)
+				if errors.Is(err, congest.ErrMaxRounds) {
 					entry.Stalled++
 					continue
+				}
+				var rep *faultsim.Report
+				if err == nil {
+					rep, err = faultsim.Check(g, base.MISSet(st), faultsim.CrashedAt(plan, res.Rounds+1, g.N()))
+				}
+				if err != nil {
+					return nil, fmt.Errorf("fault bench: %s x=%v: %w", sc.name, x, err)
 				}
 				rounds.Add(float64(res.Rounds))
 				coverage.Add(rep.Coverage())

@@ -1,7 +1,8 @@
-// The Métivier benchmark suites behind E17–E19, E22 and BENCH_alloc,
-// BENCH_trace, BENCH_scale and BENCH_layout.json: one cell runner over one
-// spec (groups × cells) and one row schema, with the determinism checks
-// and acceptance bars applied the same way to every suite.
+// The Métivier benchmark suites behind E17–E19, E21, E22 and BENCH_alloc,
+// BENCH_trace, BENCH_scale, BENCH_dist and BENCH_layout.json: one cell
+// runner over one spec (groups × cells) and one row schema, with the
+// determinism checks and acceptance bars applied the same way to every
+// suite.
 package exp
 
 import (
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/distrib"
 	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -36,14 +38,16 @@ type Group struct {
 type Cell struct {
 	// Layout is the engine's vertex ordering; "" keeps the ingest
 	// labeling and skips the relabel-cost measurement.
-	Layout  string
-	Driver  congest.DriverKind
+	Layout string
+	Driver congest.DriverKind
+	// Workers is the pool's shard count request (0 = GOMAXPROCS) or the
+	// distributed driver's worker-process count.
 	Workers int
 	// Trace is the timed runs' tracing mode: "" (off), "ring" (a
 	// Recorder) or "jsonl" (a Recorder streaming to a temp file).
 	Trace string
-	// Faulted adds a traced run under suiteFaultPlan whose fingerprint
-	// joins the group-agreement check.
+	// Faulted adds a traced run under the suite's fault plan whose
+	// fingerprint joins the group-agreement check.
 	Faulted bool
 }
 
@@ -60,6 +64,8 @@ type Suite struct {
 	Columns []string
 	// bars derives the suite's acceptance bars from its rows.
 	bars func([]Row) []Bar
+	// faults is the fault model of the Faulted cells.
+	faults faultPlan
 }
 
 // Row is one (group, cell) measurement — the schema of every suite
@@ -73,7 +79,8 @@ type Row struct {
 	Driver           string `json:"driver"`
 	WorkersRequested int    `json:"workers_requested,omitempty"`
 	// Workers is the pool shard count the engine resolved the request to
-	// (clamped to GOMAXPROCS and n); 0 off the pool.
+	// (clamped to GOMAXPROCS and n) or the distributed worker-process
+	// count; 0 on the sequential driver.
 	Workers int    `json:"workers,omitempty"`
 	Trace   string `json:"trace"`
 	// WallNS is the best-of-reps wall time for one full run (JSONL flush
@@ -97,6 +104,11 @@ type Row struct {
 	// Rebalances counts the traced clean run's shard rebalances
 	// (advisory: depends on the worker count).
 	Rebalances int64 `json:"rebalances,omitempty"`
+	// FrameBytesPerRound and MeanRTTNS are the distributed driver's
+	// transport cost in the traced clean run: coordinator↔worker frame
+	// bytes per round and the mean per-shard frame round trip (advisory).
+	FrameBytesPerRound float64 `json:"frame_bytes_per_round,omitempty"`
+	MeanRTTNS          int64   `json:"mean_rtt_ns,omitempty"`
 	// RelabelNS is the one-time cost of computing the layout and
 	// rebuilding the CSR in its order.
 	RelabelNS int64 `json:"relabel_ns,omitempty"`
@@ -134,19 +146,21 @@ const (
 	sizeArtifact
 )
 
+// pick returns the value for size s.
+func (s sizing) pick(quick, experiment, artifact int) int {
+	return [...]int{quick, experiment, artifact}[s]
+}
+
 // suiteNames lists the Métivier suites metivierSuite knows.
-var suiteNames = []string{"alloc", "trace", "scale", "layout"}
+var suiteNames = []string{"alloc", "trace", "scale", "dist", "layout"}
 
 // metivierSuite returns the named suite at the given size.
 func metivierSuite(name string, size sizing) (Suite, error) {
-	pick := func(quick, experiment, artifact int) int {
-		return [...]int{quick, experiment, artifact}[size]
-	}
 	switch name {
 	case "alloc":
-		return allocSuite(pick(1<<9, 1<<14, 1<<14), pick(1, 5, 5)), nil
+		return allocSuite(size.pick(1<<9, 1<<14, 1<<14), size.pick(1, 5, 5)), nil
 	case "trace":
-		return traceSuite(pick(1<<9, 1<<14, 1<<14), pick(1, 5, 5)), nil
+		return traceSuite(size.pick(1<<9, 1<<14, 1<<14), size.pick(1, 5, 5)), nil
 	case "scale":
 		switch size {
 		case sizeQuick:
@@ -155,6 +169,12 @@ func metivierSuite(name string, size sizing) (Suite, error) {
 			return scaleSuite([]int{1 << 16}, []int{1, 2, 4, 8}, 2), nil
 		}
 		return scaleSuite([]int{1 << 18, 1 << 20, 1 << 22}, []int{1, 2, 4, 8, 0}, 2), nil
+	case "dist":
+		shards := []int{1, 2, 4, 8}
+		if size == sizeQuick {
+			shards = []int{2, 3}
+		}
+		return distSuite(size.pick(192, 1<<10, 1<<10), shards, size.pick(1, 1, 3)), nil
 	case "layout":
 		switch size {
 		case sizeQuick:
@@ -207,12 +227,32 @@ func scaleSuite(ns, workers []int, reps int) Suite {
 		Ref:     1,
 		Reps:    reps,
 		Columns: []string{"n", "driver", "requested", "workers", "wall ms", "speedup", "msgs/s", "rebalances"},
+		faults:  dropFaults,
 	}
 	for _, n := range ns {
 		s.Groups = append(s.Groups, Group{Family: "union-a2", N: n})
 	}
 	for _, w := range workers {
 		s.Cells = append(s.Cells, Cell{Driver: congest.DriverPool, Workers: w, Faulted: true})
+	}
+	return s
+}
+
+// distSuite is E21: the sequential driver against fleets of shard worker
+// processes over unix sockets, clean and faulted. The sequential row is
+// the speedup reference.
+func distSuite(n int, shards []int, reps int) Suite {
+	s := Suite{
+		Name:    "dist",
+		Title:   "Distributed driver — metivier, union-of-trees(α=2), shard worker processes",
+		Groups:  []Group{{Family: "union-a2", N: n}},
+		Cells:   []Cell{{Driver: congest.DriverSequential, Faulted: true}},
+		Reps:    reps,
+		Columns: []string{"n", "driver", "workers", "wall ms", "speedup", "msgs/s", "frame B/round", "rtt µs"},
+		faults:  distFaults,
+	}
+	for _, w := range shards {
+		s.Cells = append(s.Cells, Cell{Driver: congest.DriverDistributed, Workers: w, Faulted: true})
 	}
 	return s
 }
@@ -268,29 +308,50 @@ func buildGroup(gr Group, seed uint64) (*graph.Graph, error) {
 	return graph.Relabel(g, rng.New(seed).Split(uint64(gr.N)).Perm(g.N()))
 }
 
-// suiteFaultPlan is the faulted cells' fault model: a light Bernoulli
-// drop, enough to exercise the fault stream in global sender order.
-// Métivier can stall under loss, so faulted runs are capped at
-// suiteFaultMaxRounds; an identical stall is still a valid comparison.
-const (
-	suiteFaultPlanName  = "bernoulli-drop(p=0.01)"
-	suiteFaultMaxRounds = 300
-)
+// faultPlan is a suite's fault model for its faulted cells, sized to the
+// group's n and named in the report. Métivier can stall under loss, so
+// faulted runs are capped at suiteFaultMaxRounds; an identical stall is
+// still a valid comparison.
+type faultPlan struct {
+	name  string
+	build func(n int) faultsim.Plan
+}
 
-func suiteFaultPlan() faultsim.Plan { return faultsim.BernoulliDrop{P: 0.01} }
+const suiteFaultMaxRounds = 300
+
+var (
+	// dropFaults is a light Bernoulli drop, enough to exercise the fault
+	// stream in global sender order.
+	dropFaults = faultPlan{"bernoulli-drop(p=0.01)", func(int) faultsim.Plan {
+		return faultsim.BernoulliDrop{P: 0.01}
+	}}
+	// distFaults adds crash windows, whose fates the coordinator ships to
+	// the shard processes: vertex 1 is down for rounds 2–8, vertex n/2 is
+	// gone from round 3.
+	distFaults = faultPlan{"bernoulli-drop(p=0.02)+crash-restart(1:[2,9), n/2:gone@3)", func(n int) faultsim.Plan {
+		return faultsim.Compose(
+			faultsim.BernoulliDrop{P: 0.02},
+			faultsim.NewCrashRestart(map[int]faultsim.Window{1: {Down: 2, Up: 9}, n / 2: {Down: 3}}),
+		)
+	}}
+)
 
 // runSuite runs every cell of s on every group at seed and returns one
 // row per (group, cell). Within a group, every cell of a layout must
 // agree on the run counters and fingerprints; a divergence is an error,
 // so each suite doubles as a determinism check. GOMAXPROCS is raised to
-// the widest worker request for the run (and restored). Bars are
-// computed, not enforced: callers run checkBars on the report.
+// the widest pool worker request for the run (and restored); distributed
+// shards are processes and need no raise. Bars are computed, not
+// enforced: callers run checkBars on the report.
 func runSuite(s Suite, seed uint64) (*SuiteReport, error) {
 	if s.Reps < 1 {
 		s.Reps = 1
 	}
 	procs := runtime.GOMAXPROCS(0)
 	for _, c := range s.Cells {
+		if c.Driver != congest.DriverPool {
+			continue
+		}
 		if w := c.Workers; w > procs {
 			procs = w
 		} else if w <= 0 && runtime.NumCPU() > procs {
@@ -305,7 +366,7 @@ func runSuite(s Suite, seed uint64) (*SuiteReport, error) {
 	}
 	for _, c := range s.Cells {
 		if c.Faulted {
-			rep.FaultPlan = suiteFaultPlanName
+			rep.FaultPlan = s.faults.name
 		}
 	}
 	for _, gr := range s.Groups {
@@ -321,7 +382,7 @@ func runSuite(s Suite, seed uint64) (*SuiteReport, error) {
 		rows := make([]Row, len(s.Cells))
 		for i, c := range s.Cells {
 			rows[i] = Row{Family: gr.Family, N: g.N(), M: g.M(), Scrambled: gr.Scrambled}
-			if err := runCell(&rows[i], g, c, seed, s.Reps); err != nil {
+			if err := runCell(&rows[i], g, s, c, seed); err != nil {
 				return nil, fmt.Errorf("%s bench: %s: %w", s.Name, rows[i].name(), err)
 			}
 		}
@@ -342,18 +403,27 @@ func runSuite(s Suite, seed uint64) (*SuiteReport, error) {
 }
 
 // runCell fills row with cell c's measurements on g: the relabel cost,
-// reps timed runs (best wall, fewest allocations), one traced clean
-// fingerprint run and, for faulted cells, one traced faulted run.
-func runCell(row *Row, g *graph.Graph, c Cell, seed uint64, reps int) error {
+// s.Reps timed runs (best wall, fewest allocations), one traced clean
+// fingerprint run and, for faulted cells, one traced faulted run. A
+// distributed cell runs all of them on one fleet of worker processes.
+func runCell(row *Row, g *graph.Graph, s Suite, c Cell, seed uint64) error {
 	row.Layout, row.Driver, row.Trace = c.Layout, c.Driver.String(), c.Trace
 	if row.Trace == "" {
 		row.Trace = "off"
 	}
-	if c.Driver == congest.DriverPool {
-		row.WorkersRequested = c.Workers
-		row.Workers = congest.Options{Workers: c.Workers}.WorkerCount(g.N())
-	}
 	opts := congest.Options{Seed: seed, Driver: c.Driver, Workers: c.Workers, Layout: c.Layout}
+	switch c.Driver {
+	case congest.DriverPool:
+		row.WorkersRequested, row.Workers = c.Workers, opts.WorkerCount(g.N())
+	case congest.DriverDistributed:
+		fleet, err := distrib.NewExecFleet(g, distrib.Program{Algorithm: "metivier"}, c.Workers)
+		if err != nil {
+			return err
+		}
+		defer fleet.Close()
+		opts.Fleet = fleet
+		row.WorkersRequested, row.Workers = c.Workers, c.Workers
+	}
 
 	if c.Layout != "" {
 		start := time.Now()
@@ -369,7 +439,7 @@ func runCell(row *Row, g *graph.Graph, c Cell, seed uint64, reps int) error {
 
 	var ms runtime.MemStats
 	timedFP := ""
-	for rep := 0; rep < reps; rep++ {
+	for rep := 0; rep < s.Reps; rep++ {
 		rec, finish, err := timedSink(c.Trace)
 		if err != nil {
 			return err
@@ -410,16 +480,21 @@ func runCell(row *Row, g *graph.Graph, c Cell, seed uint64, reps int) error {
 		row.MessagesPerSec = float64(row.Messages) / (float64(row.WallNS) / 1e9)
 	}
 
-	var err error
-	if row.FingerprintClean, row.Rebalances, _, err = fingerprintRun(g, opts); err != nil {
+	fp, counts, _, err := fingerprintRun(g, opts)
+	if err != nil {
 		return fmt.Errorf("traced: %w", err)
+	}
+	row.FingerprintClean, row.Rebalances = fp, counts.rebalances
+	if counts.frames > 0 {
+		row.FrameBytesPerRound = float64(counts.frameBytes) / float64(row.Rounds)
+		row.MeanRTTNS = counts.rttNS / counts.frames
 	}
 	if timedFP != "" && timedFP != row.FingerprintClean {
 		return fmt.Errorf("timed %s run fingerprint %s != traced run %s", c.Trace, timedFP, row.FingerprintClean)
 	}
 	if c.Faulted {
 		faulted := opts
-		faulted.Faults, faulted.MaxRounds = suiteFaultPlan(), suiteFaultMaxRounds
+		faulted.Faults, faulted.MaxRounds = s.faults.build(g.N()), suiteFaultMaxRounds
 		if row.FingerprintFaulted, _, row.FaultedStalled, err = fingerprintRun(g, faulted); err != nil {
 			return fmt.Errorf("faulted: %w", err)
 		}
@@ -458,34 +533,37 @@ func timedSink(mode string) (*trace.Recorder, func() error, error) {
 // BENCH artifact and experiment note records it.
 func fingerprintHex(fp uint64) string { return fmt.Sprintf("%#016x", fp) }
 
-// rebalanceCounter forwards every event to the recorder and counts the
-// advisory rebalance events on the side.
-type rebalanceCounter struct {
-	rec *trace.Recorder
-	n   *int64
+// runCounts tallies a traced run's advisory events: the pool driver's
+// shard rebalances and the distributed driver's frame round trips.
+type runCounts struct {
+	rebalances, frames, frameBytes, rttNS int64
 }
 
-// Emit counts rebalances and forwards.
-func (s rebalanceCounter) Emit(e trace.Event) {
-	if e.Type == trace.EvRebalance {
-		*s.n++
+// Emit implements trace.Sink.
+func (c *runCounts) Emit(e trace.Event) {
+	switch e.Type {
+	case trace.EvRebalance:
+		c.rebalances++
+	case trace.EvFrame:
+		c.frames++
+		c.frameBytes += e.X + e.Y
+		c.rttNS += e.Z
 	}
-	s.rec.Emit(e)
 }
 
-// fingerprintRun executes one traced run and returns its deterministic
-// fingerprint, the rebalance count, and whether it stalled at the round
-// cap (tolerated only for faulted runs).
-func fingerprintRun(g *graph.Graph, opts congest.Options) (string, int64, bool, error) {
-	rec := trace.NewRecorder(0)
-	var rebalances int64
-	opts.Events = rebalanceCounter{rec: rec, n: &rebalances}
+// fingerprintRun executes one traced run with timing events on and
+// returns its deterministic fingerprint, its advisory counts, and whether
+// it stalled at the round cap (tolerated only for faulted runs).
+func fingerprintRun(g *graph.Graph, opts congest.Options) (string, runCounts, bool, error) {
+	var counts runCounts
+	rec := trace.NewRecorder(0, &counts)
+	opts.Events, opts.EventTiming = rec, true
 	_, _, err := metivier.Run(g, opts)
 	stalled := opts.Faults != nil && errors.Is(err, congest.ErrMaxRounds)
 	if err != nil && !stalled {
-		return "", 0, false, err
+		return "", runCounts{}, false, err
 	}
-	return fingerprintHex(rec.Fingerprint()), rebalances, stalled, nil
+	return fingerprintHex(rec.Fingerprint()), counts, stalled, nil
 }
 
 // name identifies a row in errors: family, n, then the cell.
@@ -495,7 +573,7 @@ func (r Row) name() string {
 		s += " " + r.Layout
 	}
 	s += " " + r.Driver
-	if r.Driver == congest.DriverPool.String() {
+	if r.Workers > 0 {
 		s += fmt.Sprintf("(w=%d)", r.Workers)
 	}
 	if r.Trace != "off" {
@@ -673,6 +751,10 @@ func column(r Row, name string) interface{} {
 		return int(r.Events)
 	case "rebalances":
 		return int(r.Rebalances)
+	case "frame B/round":
+		return r.FrameBytesPerRound
+	case "rtt µs":
+		return float64(r.MeanRTTNS) / 1e3
 	}
 	return "?"
 }

@@ -1,11 +1,21 @@
 package exp
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/congest"
+	"repro/internal/distrib"
 )
+
+// TestMain lets this test binary double as the misnode worker: the dist
+// suite and E21 spawn self-exec fleets, which re-run the binary with the
+// worker socket in the environment.
+func TestMain(m *testing.M) {
+	distrib.MaybeWorker()
+	os.Exit(m.Run())
+}
 
 // TestMetivierSuitesQuick runs every suite's quick cell list and checks
 // the report independently of runSuite's own group check: counters and
@@ -76,6 +86,23 @@ func TestMetivierSuitesQuick(t *testing.T) {
 						t.Fatalf("%s: faulted cell has no faulted fingerprint", r.name())
 					}
 				}
+			case "dist":
+				seq := rep.Rows[0]
+				if seq.Driver != congest.DriverSequential.String() || seq.FingerprintFaulted == "" || rep.FaultPlan != distFaults.name {
+					t.Fatalf("sequential reference row or fault plan wrong: %+v (plan %q)", seq, rep.FaultPlan)
+				}
+				for _, r := range rep.Rows[1:] {
+					if r.Driver != congest.DriverDistributed.String() || r.Workers != r.WorkersRequested || r.Workers < 1 {
+						t.Fatalf("%s: not a distributed fleet row: %+v", r.name(), r)
+					}
+					if r.FingerprintClean != seq.FingerprintClean || r.FingerprintFaulted != seq.FingerprintFaulted {
+						t.Fatalf("%s: fingerprints %s/%s != sequential %s/%s", r.name(),
+							r.FingerprintClean, r.FingerprintFaulted, seq.FingerprintClean, seq.FingerprintFaulted)
+					}
+					if r.FrameBytesPerRound <= 0 || r.MeanRTTNS <= 0 {
+						t.Fatalf("%s: transport cost missing: %+v", r.name(), r)
+					}
+				}
 			case "layout":
 				if len(ref) != len(s.Groups)*3 {
 					t.Fatalf("expected 3 layouts per group, got %d layout groups", len(ref))
@@ -85,6 +112,20 @@ func TestMetivierSuitesQuick(t *testing.T) {
 	}
 	if _, err := metivierSuite("engine", sizeQuick); err == nil {
 		t.Fatal("unknown suite accepted")
+	}
+}
+
+func TestE21DistributedDriverQuick(t *testing.T) {
+	rep, err := E21DistributedDriver(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sequential reference plus the two quick fleet shapes.
+	if rep.ID != "E21" || rep.Table.NumRows() != 3 {
+		t.Fatalf("unexpected report shape: id=%s rows=%d", rep.ID, rep.Table.NumRows())
+	}
+	if len(rep.Notes) == 0 || !strings.Contains(rep.Notes[0], "every fleet reproduced the sequential fingerprints") {
+		t.Fatalf("notes missing the fingerprint verdict: %q", rep.Notes)
 	}
 }
 
