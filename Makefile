@@ -61,9 +61,11 @@ cover:
 # Allocation gate: a steady-state sequential round (n = 1024 ring,
 # every node broadcasting) must perform zero heap allocations — the
 # invariant the value-typed wire payloads and the flat inbox arena exist
-# to provide. Fast (< 1s); runs in ci.
+# to provide — and a whole Métivier run at n = 2^16 (sequential and
+# two-worker pool) must allocate at most 448 bytes per vertex, what
+# broadcast records and presized outboxes buy. Fast (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^TestSteadyStateRound' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestWholeRunAllocBudget)' -count=1 ./internal/congest/
 
 # Benchmark smoke: the performance experiments at test size in one
 # compile, through the same producers as the BENCH_*.json artifacts — the

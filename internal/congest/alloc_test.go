@@ -1,9 +1,12 @@
 package congest
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/faultsim"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -182,5 +185,111 @@ func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
 		t.Fatalf("steady-state delayed round allocates %v objects, want 0", avg)
+	}
+}
+
+// priorityMIS is Métivier's random-priority MIS in the engine's own
+// terms (internal/mis/metivier imports this package, so its tests cannot
+// use it): phase 0 broadcasts a fresh priority, phase 1's local maxima
+// broadcast "joined" and halt, phase 2's nodes with a joined neighbor
+// broadcast "removed" and halt.
+type priorityMIS struct{ priority uint64 }
+
+const (
+	kindPriority WireKind = 1 + iota
+	kindJoined
+	kindRemoved
+)
+
+func (nd *priorityMIS) Init(ctx *Context) { nd.draw(ctx) }
+
+func (nd *priorityMIS) draw(ctx *Context) {
+	nd.priority = ctx.RNG().Uint64()
+	ctx.Broadcast(Wire{Kind: kindPriority, Bits: 65, A: nd.priority, B: 1})
+}
+
+func (nd *priorityMIS) Round(ctx *Context, inbox []Message) {
+	switch ctx.Round() % 3 {
+	case 1:
+		for _, m := range inbox {
+			if m.Wire.Kind == kindPriority && (m.Wire.A > nd.priority || m.Wire.A == nd.priority && m.From > ctx.ID()) {
+				return
+			}
+		}
+		ctx.Broadcast(Wire{Kind: kindJoined, Bits: 4})
+		ctx.Halt()
+	case 2:
+		for _, m := range inbox {
+			if m.Wire.Kind == kindJoined {
+				ctx.Broadcast(Wire{Kind: kindRemoved, Bits: 4})
+				ctx.Halt()
+				return
+			}
+		}
+	case 0:
+		nd.draw(ctx)
+	}
+}
+
+// wholeRunBudget is the TotalAlloc bound per vertex for one whole run:
+// runner construction, contexts, program state, outboxes and the inbox
+// arena, at n = 2^16.
+const wholeRunBudget = 448
+
+// TestWholeRunAllocBudget bounds what a whole Métivier run allocates, not
+// just a steady-state round: on a union of two random spanning trees at
+// n = 2^16, NewRunner plus Run must allocate at most wholeRunBudget bytes
+// per vertex under the sequential driver and the two-worker pool. The
+// budget holds because a Broadcast is one outbox record, outboxes are
+// presized and RNG streams live in the contexts; copying every message
+// into an outbox grown by append costs over 1100.
+func TestWholeRunAllocBudget(t *testing.T) {
+	const n = 1 << 16
+	g := gen.UnionOfTrees(n, 2, rng.New(1))
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"sequential", Options{Seed: 1}},
+		{"pool-2", Options{Seed: 1, Driver: DriverPool, Workers: 2}},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		nodes := make([]priorityMIS, n)
+		r := NewRunner(g, func(v int) Node { return &nodes[v] }, c.opts)
+		res, err := r.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.0f B/vertex over %d rounds, %d messages", c.name, perVertex, res.Rounds, res.Messages)
+		if perVertex > wholeRunBudget {
+			t.Errorf("%s: whole run allocates %.0f B/vertex, budget %d", c.name, perVertex, wholeRunBudget)
+		}
+	}
+}
+
+// TestOutboxRecordSize pins the outbox record at 40 bytes: every point
+// send and every distributed packet the coordinator re-addresses costs
+// one record, so a larger record costs memory on point-heavy runs.
+func TestOutboxRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size > 40 {
+		t.Fatalf("outbox record is %d bytes, want at most 40", size)
+	}
+}
+
+// TestSweepStateFillsCacheLines pins the shard and its outbox bucket at
+// whole numbers of 64-byte cache lines: the pool's workers write their own
+// shard and buckets on every halt and send, and one that shared a line
+// with another worker's would make those writes contend. Adjust the
+// structs' padding when a field is added.
+func TestSweepStateFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(bucket{}); size%64 != 0 {
+		t.Errorf("outbox bucket is %d bytes, want a multiple of 64", size)
+	}
+	if size := unsafe.Sizeof(shard{}); size%64 != 0 {
+		t.Errorf("shard is %d bytes, want a multiple of 64", size)
 	}
 }

@@ -45,9 +45,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Message is a wire payload annotated with its sender's vertex ID. It is
-// a plain value (no pointers): messages move from shard outboxes into the
-// round's inbox arena by value copy, with zero heap traffic.
+// Message is a wire payload annotated with its sender's vertex ID, as a
+// program reads it from its inbox. It is a plain value (no pointers):
+// delivery writes one Message per recipient into the round's inbox arena,
+// expanding each outbox record (one per Broadcast, see record) along its
+// sender's neighbor row, with zero heap traffic.
 type Message struct {
 	//idspace:external
 	From int
@@ -69,29 +71,45 @@ type Node interface {
 // Under a non-identity layout (Options.Layout) the engine stores vertices
 // in permuted "internal" order but the context exposes only "external"
 // (original) IDs: id, neighbors, and every Message.From are external.
-// targets carries the internal ID of each neighbor, pairwise-aligned with
-// neighbors, so sends address engine storage without a translation lookup;
-// under the identity layout both slices alias the same CSR row.
+// The neighbors' internal IDs, pairwise-aligned with neighbors, sit at
+// offset row of the runner's flat target array (nbrRows.tgt), so sends
+// address engine storage without a translation lookup and a Broadcast
+// names the row instead of copying it; under the identity layout both
+// rows are the CSR row.
 type Context struct {
 	//idspace:external
 	id int
 	n  int
 	//idspace:external
-	neighbors []int // external neighbor IDs, ascending
-	//idspace:internal
-	targets []int // internal neighbor IDs, aligned with neighbors
-	rng     *rng.RNG
-	round   int
-	halted  bool
-	shard   *shard
-	runner  *Runner
+	neighbors []int   // external neighbor IDs, ascending
+	row       int     // offset of the internal neighbor row in runner.rows.tgt
+	rng       rng.RNG // private stream, held by value: no heap object per vertex
+	round     int
+	halted    bool
+	shard     *shard
+	runner    *Runner
 }
 
-type addressed struct {
-	//idspace:internal
-	to  int
-	msg Message
+// record is one outbox entry: a message and its recipients, pointer-free
+// and 40 bytes. A broadcast record (span > 0) addresses the internal
+// vertices tgt[at : at+span] of the run's flat target array — its
+// sender's neighbor row, or in a bucketed run the stretch of it from the
+// first to the last neighbor in one destination bucket — and delivery
+// expands it along that row, so a Broadcast costs one entry, not one per
+// neighbor. A point record (span == 0) addresses the single internal
+// vertex at: a Send or SendSlot, a packet the distributed coordinator
+// re-addresses, or a message a fault plan delayed. The message is stored
+// as its recipients read it, so delivery copies it unchanged; the 32-bit
+// addressing caps the flat target array at maxTargets entries.
+type record struct {
+	msg  Message
+	span uint32 // recipients in the row; 0 for a point record
+	at   uint32 // row offset (broadcast) or internal recipient (point)
 }
+
+// maxTargets bounds the flat target array (twice the edge count) so
+// that record offsets fit in 32 bits.
+const maxTargets = 1<<32 - 1
 
 // ID returns this vertex's identifier (0..N-1). In CONGEST nodes know their
 // own O(log n)-bit ID and those of their neighbors.
@@ -115,7 +133,7 @@ func (c *Context) Degree() int { return len(c.neighbors) }
 
 // RNG returns this node's private random stream. Draws are deterministic
 // given the run seed and vertex ID, and no other node shares the stream.
-func (c *Context) RNG() *rng.RNG { return c.rng }
+func (c *Context) RNG() *rng.RNG { return &c.rng }
 
 // Send queues a message to neighbor `to` for delivery next round. Sending
 // to a non-neighbor is a programming error and poisons the run with an
@@ -128,7 +146,7 @@ func (c *Context) Send(to int, w Wire) {
 		c.fail(fmt.Errorf("congest: node %d sent to non-neighbor %d", c.id, to))
 		return
 	}
-	c.enqueue(c.targets[i], w)
+	c.enqueue(c.runner.rows.tgt[c.row+i], w)
 }
 
 // SendSlot queues a message to the i'th neighbor (Neighbors()[i]) for
@@ -144,17 +162,28 @@ func (c *Context) SendSlot(i int, w Wire) {
 		c.fail(fmt.Errorf("congest: node %d sent to neighbor slot %d of %d", c.id, i, len(c.neighbors)))
 		return
 	}
-	c.enqueue(c.targets[i], w)
+	c.enqueue(c.runner.rows.tgt[c.row+i], w)
 }
 
-// Broadcast queues a message to every neighbor for delivery next round,
-// walking the adjacency list directly (no membership checks).
+// Broadcast queues a message to every neighbor for delivery next round.
+// It appends one broadcast record naming the sender's neighbor row (one
+// per destination bucket the row touches in a bucketed run); delivery
+// expands it along the row, in row order. A zero-degree vertex sends
+// nothing, so its Broadcast is a no-op even when oversized.
 //
 //congest:hotpath
 func (c *Context) Broadcast(w Wire) {
-	for _, v := range c.targets {
-		c.enqueue(v, w)
+	deg := len(c.neighbors)
+	if deg == 0 || !c.fits(w) {
+		return
 	}
+	sh := c.shard
+	rc := record{msg: Message{From: c.id, Wire: w}, span: uint32(deg), at: uint32(c.row)}
+	if len(sh.buckets) == 1 {
+		sh.buckets[0].push(rc, deg)
+		return
+	}
+	sh.split(rc, c.runner.rows.tgt[c.row:c.row+deg])
 }
 
 // fail records the first model violation observed in this context's shard.
@@ -167,27 +196,113 @@ func (c *Context) fail(err error) {
 	}
 }
 
-// enqueue appends to the owning shard's outbox — the destination shard's
-// bucket when the run is bucketed, out[0] otherwise. Only the worker that
-// owns the shard runs this node, so the append is race-free, and because
-// nodes within a shard are swept in ID order every bucket stays sorted by
-// sender with per-sender append order preserved.
+// fits reports whether w is within Options.MessageBitLimit; an oversized
+// message poisons the run instead.
 //
-//idspace:internal to
 //congest:hotpath
-func (c *Context) enqueue(to int, w Wire) {
+func (c *Context) fits(w Wire) bool {
 	if c.runner.opts.MessageBitLimit > 0 && int(w.Bits) > c.runner.opts.MessageBitLimit {
 		//congest:coldpath oversized messages poison the run; the error path may allocate
 		c.fail(fmt.Errorf("congest: node %d message of %d bits exceeds limit %d",
 			c.id, w.Bits, c.runner.opts.MessageBitLimit))
+		return false
+	}
+	return true
+}
+
+// enqueue appends a point record to the owning shard's outbox — the
+// destination shard's bucket when the run is bucketed, its one bucket
+// otherwise.
+// Only the worker that owns the shard runs this node, so the append is
+// race-free, and because nodes within a shard are swept in ID order every
+// bucket stays sorted by sender with per-sender call order preserved
+// across point and broadcast records alike.
+//
+//idspace:internal to
+//congest:hotpath
+func (c *Context) enqueue(to int, w Wire) {
+	if !c.fits(w) {
 		return
 	}
 	sh := c.shard
 	d := 0
-	if sh.vshard != nil {
-		d = int(sh.vshard[to])
+	if len(sh.buckets) > 1 {
+		d = sh.bucketOf(to)
 	}
-	sh.out[d] = append(sh.out[d], addressed{to: to, msg: Message{From: c.id, Wire: w}})
+	sh.buckets[d].push(record{msg: Message{From: c.id, Wire: w}, at: uint32(to)}, 1)
+}
+
+// push appends a record to the bucket and tallies the k messages it
+// expands to. On a reliable network every message sent is delivered, so
+// these tallies are the round's delivery counters.
+//
+//congest:hotpath
+func (b *bucket) push(rc record, k int) {
+	b.recs = append(b.recs, rc)
+	b.msgs += k
+	bits := int(rc.msg.Wire.Bits)
+	b.bits += int64(k * bits)
+	if bits > b.maxBits {
+		b.maxBits = bits
+	}
+}
+
+// bucketOf returns internal vertex t's destination bucket: the index of
+// the shard whose range holds it. Shard ranges partition [0, n) in
+// ascending order, so a binary search over the upper bounds the buckets
+// keep finds it without a per-vertex routing table.
+//
+//idspace:internal t
+//congest:hotpath
+func (sh *shard) bucketOf(t int) int {
+	bs := sh.buckets
+	lo, hi := 0, len(bs)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t < bs[m].hi {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// split files a broadcast record in every destination bucket its row
+// touches, once each: bucket d's record spans the row from its first to
+// its last neighbor in d, and d's msgs counts d's recipients exactly. The
+// row is walked in runs of neighbors that share a bucket, one bucket
+// lookup per run. Under the identity layout a row is sorted and shards
+// are ascending ranges, so each bucket is one run and the spans tile the
+// row (at most W-1 splits); under a layout runs may interleave, and
+// mergeBucket skips the other buckets' neighbors inside a span.
+//
+//congest:hotpath
+func (sh *shard) split(rc record, row []int) {
+	for i := 0; i < len(row); {
+		b := &sh.buckets[sh.bucketOf(row[i])]
+		j := i + 1
+		for j < len(row) && row[j] >= b.lo && row[j] < b.hi {
+			j++
+		}
+		if b.n == 0 {
+			b.first = i
+		}
+		b.end = j
+		b.n += j - i
+		i = j
+	}
+	for d := range sh.buckets {
+		b := &sh.buckets[d]
+		if b.n == 0 {
+			continue
+		}
+		r := rc
+		r.at += uint32(b.first)
+		r.span = uint32(b.end - b.first)
+		b.push(r, b.n)
+		b.n = 0
+	}
 }
 
 // Halt marks this node finished. Messages queued in the same call are still
@@ -346,11 +461,11 @@ type Runner struct {
 	traced bool // full event stream wanted; set before workers start, read-only after
 
 	// Layout state (see internal/layout). Under the identity layout ig
-	// aliases g and every other field is nil, so the engine runs exactly
-	// the pre-layout code paths. Otherwise ig is the relabeled CSR the
-	// drivers shard and sweep, perm/ext translate external↔internal IDs,
-	// and rows holds every internal vertex's neighbor row in both ID
-	// spaces.
+	// aliases g, perm and ext are nil, and rows is a view of g's CSR.
+	// Otherwise ig is the relabeled CSR the drivers shard and sweep,
+	// perm/ext translate external↔internal IDs, and rows holds every
+	// internal vertex's neighbor row in both ID spaces. rows.tgt is the
+	// flat target array broadcast records index.
 	ig *graph.Graph
 	//idspace:index external
 	//idspace:internal
@@ -358,7 +473,7 @@ type Runner struct {
 	//idspace:index internal
 	//idspace:external
 	ext       []int // internal ID -> external ID; nil = identity
-	rows      *nbrRows
+	rows      nbrRows
 	layoutErr error // deferred to Run: NewRunner cannot return an error
 }
 
@@ -386,6 +501,8 @@ func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 // Failures (unknown ordering name) are recorded in layoutErr and poison
 // Run; the runner falls back to identity internals so accessors stay safe.
 func (r *Runner) resolveLayout() {
+	off, adj := r.g.CSR()
+	r.rows = nbrRows{off: off, ext: adj, tgt: adj}
 	o, err := layout.Parse(r.opts.Layout)
 	if err != nil {
 		r.layoutErr = err
@@ -408,10 +525,10 @@ func (r *Runner) resolveLayout() {
 	r.rows = newNbrRows(0, ig.N(), ig.Neighbors, ext)
 }
 
-// nbrRows holds the neighbor rows of the internal vertices [lo, hi) under
-// a non-identity layout, each twice: the neighbors' external IDs
-// ascending (what contexts expose), pairwise-aligned with their internal
-// IDs (what sends address).
+// nbrRows holds the neighbor rows of the internal vertices [lo, hi), each
+// twice: the neighbors' external IDs ascending (what contexts expose),
+// pairwise-aligned with their internal IDs (what sends address). Under the
+// identity layout the two arrays are one.
 type nbrRows struct {
 	//idspace:internal
 	lo  int
@@ -423,16 +540,24 @@ type nbrRows struct {
 }
 
 // newNbrRows builds the rows of [lo, hi) from the internal-order
-// adjacency and the internal→external ID map.
+// adjacency and the internal→external ID map (nil = identity, where the
+// external rows alias the internal ones).
 //
 //idspace:internal lo hi
-func newNbrRows(lo, hi int, adj func(v int) []int, ext []int) *nbrRows {
-	rw := &nbrRows{lo: lo, off: make([]int, hi-lo+1)}
+func newNbrRows(lo, hi int, adj func(v int) []int, ext []int) nbrRows {
+	rw := nbrRows{lo: lo, off: make([]int, hi-lo+1)}
 	for v := lo; v < hi; v++ {
 		rw.off[v-lo+1] = rw.off[v-lo] + len(adj(v))
 	}
-	rw.ext = make([]int, rw.off[hi-lo])
 	rw.tgt = make([]int, rw.off[hi-lo])
+	if ext == nil {
+		rw.ext = rw.tgt //idspace:ok identity layout: internal and external IDs coincide
+		for v := lo; v < hi; v++ {
+			copy(rw.tgt[rw.off[v-lo]:], adj(v))
+		}
+		return rw
+	}
+	rw.ext = make([]int, rw.off[hi-lo])
 	for v := lo; v < hi; v++ {
 		extRow, tgtRow := rw.row(v)
 		for i, q := range adj(v) {
@@ -464,31 +589,28 @@ func (s *pairByExt) Swap(i, j int) {
 }
 
 // initContexts builds the contexts of internal vertices [lo,
-// lo+len(ctxs)), all owned by shard sh. A context carries the external
-// identity (ID, neighbor rows, RNG stream), so relabeling is invisible to
-// the program; under the identity layout both neighbor slices alias adj's
-// row. The in-process drivers and the shard worker share it.
+// lo+len(ctxs)), all owned by shard sh, from the runner's rows. A context
+// carries the external identity (ID, neighbor row, RNG stream), so
+// relabeling is invisible to the program. The in-process drivers and the
+// shard worker share it.
 //
 //idspace:internal lo
-func (r *Runner) initContexts(ctxs []Context, lo, n int, root *rng.RNG, adj func(v int) []int, sh *shard) {
+func (r *Runner) initContexts(ctxs []Context, lo, n int, root *rng.RNG, sh *shard) {
 	for i := range ctxs {
 		v := lo + i
 		var extv int
-		var nbrs, tgts []int
-		if r.rows != nil {
+		if r.ext != nil {
 			extv = r.ext[v]
-			nbrs, tgts = r.rows.row(v)
 		} else {
 			extv = v //idspace:ok identity layout: internal and external IDs coincide
-			nbrs = adj(v)
-			tgts = nbrs
 		}
+		nbrs, _ := r.rows.row(v)
 		ctxs[i] = Context{
 			id:        extv,
 			n:         n,
 			neighbors: nbrs,
-			targets:   tgts,
-			rng:       root.Split(uint64(extv)),
+			row:       r.rows.off[v-r.rows.lo],
+			rng:       *root.Split(uint64(extv)),
 			shard:     sh,
 			runner:    r,
 		}
@@ -515,6 +637,9 @@ func (r *Runner) Run() (Result, error) {
 	if r.layoutErr != nil {
 		return Result{}, r.layoutErr
 	}
+	if len(r.rows.tgt) > maxTargets {
+		return Result{}, fmt.Errorf("congest: %d adjacency entries exceed the %d an outbox record can address", len(r.rows.tgt), maxTargets)
+	}
 	switch r.opts.Driver {
 	case DriverPool:
 		return r.runPool()
@@ -526,7 +651,7 @@ func (r *Runner) Run() (Result, error) {
 }
 
 // shard is a contiguous vertex range [lo, hi) owned by one worker. Its
-// outboxes accumulate the messages its nodes send during a sweep, in
+// outboxes accumulate the records its nodes send during a sweep, in
 // (sender ID, send call) order per destination bucket; its frontier is a
 // dense grow-only bitset of the not-yet-halted vertices in the range (see
 // frontier.go). Only the owning worker touches a shard during a sweep; the
@@ -537,15 +662,14 @@ type shard struct {
 	lo, hi    int      // owned contiguous vertex range [lo, hi)
 	frontier  []uint64 // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
 	liveCount int      // set bits in frontier (O(1) empty-shard skip)
-	// out is the per-destination-bucket outbox family: out[d] holds the
-	// messages this shard's nodes sent to vertices of destination shard d,
-	// in send order. Single-shard runs and fault plans use a single bucket
-	// and out[0] is the classic global-send-order outbox.
-	out    [][]addressed
-	vshard []int32       // shared vertex→shard map for bucket routing (nil when unbucketed)
-	events []trace.Event // program/halt events buffered during the sweep
-	err    error         // first model violation by a node of this shard
-	busy   int64         // sweep duration in nanoseconds, when timing is on
+	// buckets is the per-destination-bucket outbox family: buckets[d]
+	// holds the records this shard's nodes sent to vertices of destination
+	// shard d, in send order. Single-shard runs and fault plans use a
+	// single bucket, the classic global-send-order outbox.
+	buckets []bucket
+	events  []trace.Event // program/halt events buffered during the sweep
+	err     error         // first model violation by a node of this shard
+	busy    int64         // sweep duration in nanoseconds, when timing is on
 
 	// Vertex fates of the round (faulted runs, see scanFates): down masks
 	// this round's VertexDown vertices out of the sweep, word-aligned with
@@ -561,14 +685,42 @@ type shard struct {
 	halted   []int32
 	logHalts bool
 
-	// Bucketed-merge scratch, owned by this shard in its destination role:
-	// mergeBase is the arena offset where the shard's inbox region starts,
-	// and the merge* counters are the region's delivery tallies, folded
-	// into Result by the coordinator in shard order after the merge.
+	// mergeBase is the arena offset where this shard's inbox region starts
+	// in a bucketed merge (its destination role).
 	mergeBase int
-	mergeMsgs int64
-	mergeBits int64
-	mergeMax  int
+
+	// Pad to a whole number of cache lines, like bucket: a sweep writes
+	// its own shard's liveCount, and its reads of frontier and down must
+	// not share a line with the next shard's.
+	_ [40]byte
+}
+
+// bucket is one destination bucket of a shard's outbox. recs holds one
+// point record per Send/SendSlot and one broadcast record per Broadcast
+// (per bucket its row touches), in send order; msgs counts the messages
+// they expand to and bits and maxBits tally those messages' sizes.
+// newExecState presizes recs to one record per vertex of the shard, so
+// steady-state sweeps do not grow it.
+//
+// In a bucketed run a bucket also keeps its destination shard's range
+// [lo, hi), which bucketOf and split route by, and split's scratch: the
+// stretch [first, end) of the current broadcast row from its first to its
+// last neighbor in the bucket, and the n neighbors there. Every write a
+// sweep makes to routing and tally state lands in the sweeping shard's own
+// buckets, and no sweep reads another shard's: the coordinator copies the
+// ranges in (setBounds) between sweeps. A bucket fills two cache lines
+// exactly, so the workers' buckets never share a line — with false
+// sharing, every message pushed could stall on a line another worker just
+// wrote.
+type bucket struct {
+	recs    []record
+	msgs    int
+	bits    int64
+	maxBits int
+	//idspace:internal
+	lo, hi        int
+	first, end, n int
+	_             [40]byte // pad to 128 bytes
 }
 
 // execState is the driver-independent bookkeeping for a run.
@@ -592,14 +744,20 @@ type execState struct {
 	inboxOff []int // vertex -> arena offset of its inbox
 	inboxLen []int // vertex -> messages delivered this round (write cursor)
 
+	// tgt is the run's flat target array (the runner's rows.tgt), along
+	// which delivery expands broadcast records.
+	//
+	//idspace:internal
+	tgt []int
+
 	live      int
 	res       Result
-	plan      faultsim.Plan       // fault plan (nil = reliable network)
-	faults    *rng.RNG            // coordinator-owned fault stream
-	delayed   map[int][]addressed // in-flight messages keyed by consumption round
-	delayFree [][]addressed       // drained delay buckets, kept for reuse
-	sent      int64               // messages handed to delivery, any fate
-	observed  int64               // sends already reported on the bus
+	plan      faultsim.Plan    // fault plan (nil = reliable network)
+	faults    *rng.RNG         // coordinator-owned fault stream
+	delayed   map[int][]record // in-flight messages (point records) keyed by consumption round
+	delayFree [][]record       // drained delay buckets, kept for reuse
+	sent      int64            // messages handed to delivery, any fate
+	observed  int64            // sends already reported on the bus
 
 	// Bucketed-merge state. buckets is the destination-bucket count per
 	// shard outbox: numShards on a reliable network (delivery decomposes
@@ -616,8 +774,7 @@ type execState struct {
 	// Event-bus state (see events.go). bus is Options.Events: nil when
 	// nothing listens.
 	bus            trace.Sink
-	vshard         []int32 // vertex -> shard, for bucket routing
-	lastDelivered  int64   // round-delta trackers for EvRoundEnd/EvRNG
+	lastDelivered  int64 // round-delta trackers for EvRoundEnd/EvRNG
 	lastDropped    int64
 	lastDraws      uint64
 	lastFaultDraws uint64
@@ -672,6 +829,7 @@ func (r *Runner) newExecState(numShards int) *execState {
 		inboxOff: make([]int, n),
 		inboxLen: make([]int, n),
 		shards:   make([]*shard, numShards),
+		tgt:      r.rows.tgt,
 		live:     n,
 		plan:     r.opts.Faults,
 		bus:      r.opts.Events,
@@ -684,25 +842,46 @@ func (r *Runner) newExecState(numShards int) *execState {
 	// Destination-bucketed outboxes let delivery decompose into disjoint
 	// per-shard merges (deliverBuckets); they require a reliable network
 	// (fault draws consume the fault stream in global send order, which
-	// only a single outbox preserves). One shard needs no routing map.
+	// only a single outbox preserves). One shard needs no routing.
 	st.buckets = 1
 	if numShards > 1 && st.plan == nil {
 		st.buckets = numShards
-		st.vshard = make([]int32, n)
 	}
 	for s := range st.shards {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
-		sh := &shard{idx: s, out: make([][]addressed, st.buckets), vshard: st.vshard}
+		sh := newShard(s, st.buckets, hi-lo)
 		sh.resetFrontier(lo, hi)
-		if st.vshard != nil {
-			for v := lo; v < hi; v++ {
-				st.vshard[v] = int32(s)
-			}
-		}
-		r.initContexts(st.ctxs[lo:hi], lo, n, root, r.ig.Neighbors, sh)
+		r.initContexts(st.ctxs[lo:hi], lo, n, root, sh)
 		st.shards[s] = sh
 	}
+	st.setBounds()
 	return st
+}
+
+// newShard allocates shard s's outbox family for a run with the given
+// bucket count, each bucket presized to one record per vertex of the
+// shard: a broadcast costs one record per bucket its row touches, so a
+// round in which every vertex broadcasts once fits without growing.
+func newShard(s, buckets, width int) *shard {
+	sh := &shard{idx: s, buckets: make([]bucket, buckets)}
+	for d := range sh.buckets {
+		sh.buckets[d].recs = make([]record, 0, width)
+	}
+	return sh
+}
+
+// setBounds copies every shard's vertex range into the matching bucket of
+// every shard of a bucketed run, for routing. The coordinator calls it
+// whenever the ranges change, while no worker sweeps.
+func (st *execState) setBounds() {
+	if st.buckets == 1 {
+		return
+	}
+	for _, src := range st.shards {
+		for d, dst := range st.shards {
+			src.buckets[d].lo, src.buckets[d].hi = dst.lo, dst.hi
+		}
+	}
 }
 
 // sweepShard runs one round for every live node of a shard, in ascending
@@ -828,16 +1007,17 @@ func (st *execState) draws() uint64 {
 // counting pass upper-bounds each vertex's inbox (delayed messages due
 // this round plus every outbox message addressed to it — drops only
 // shorten a segment, never misplace one) and lays the inboxes out
-// back-to-back via a prefix sum. The delivery pass then writes each
-// admitted message at its recipient's cursor. Shards cover contiguous
-// ascending ID ranges and each shard outbox is already in ascending sender
-// order, so visiting shard outboxes in shard order delivers every inbox
-// sorted by sender, and fault decisions happen in that same global sender
-// order (the counting pass consults no randomness), so fault stream
-// consumption is identical across drivers. Messages a plan has delayed
-// land ahead of the round's fresh traffic, in the order they were deferred
-// (which is itself global send order, so the whole inbox is
-// deterministic).
+// back-to-back via a prefix sum. The delivery pass then expands each
+// record — a broadcast record along its sender's row, in row order — and
+// writes each admitted message at its recipient's cursor. Shards cover
+// contiguous ascending ID ranges and each shard outbox is already in
+// ascending sender order, so visiting shard outboxes in shard order
+// delivers every inbox sorted by sender, and fault decisions happen in
+// that same global (sender, send call, row position) order, one consult
+// per message (the counting pass consults no randomness), so fault stream
+// consumption is identical across drivers. Messages a plan has delayed land ahead of the round's fresh
+// traffic, in the order they were deferred (which is itself global send
+// order, so the whole inbox is deterministic).
 //
 //congest:hotpath
 func (r *Runner) deliver(st *execState, round int) error {
@@ -852,7 +1032,7 @@ func (r *Runner) deliver(st *execState, round int) error {
 		return nil
 	}
 	consume := round + 1
-	var delayedNow []addressed
+	var delayedNow []record
 	if st.delayed != nil {
 		delayedNow = st.delayed[consume]
 	}
@@ -860,12 +1040,20 @@ func (r *Runner) deliver(st *execState, round int) error {
 	// Counting pass: inboxLen doubles as the per-vertex counter, then the
 	// prefix sum converts counts into offsets and resets the cursors.
 	clear(st.inboxLen)
-	for _, a := range delayedNow {
-		st.inboxLen[a.to]++
+	for i := range delayedNow {
+		st.inboxLen[delayedNow[i].at]++
 	}
 	for _, sh := range st.shards {
-		for _, a := range sh.out[0] {
-			st.inboxLen[a.to]++
+		out := sh.buckets[0].recs
+		for i := range out {
+			rc := &out[i]
+			if rc.span == 0 {
+				st.inboxLen[rc.at]++
+				continue
+			}
+			for _, t := range st.recipients(rc) {
+				st.inboxLen[t]++
+			}
 		}
 	}
 	total := 0
@@ -878,48 +1066,72 @@ func (r *Runner) deliver(st *execState, round int) error {
 
 	// Delivery pass: delayed messages first, then fresh traffic in shard
 	// (= global sender) order.
-	for _, a := range delayedNow {
-		st.admit(a, consume)
+	for i := range delayedNow {
+		st.admit(int(delayedNow[i].at), &delayedNow[i].msg, consume)
 	}
 	if delayedNow != nil {
 		st.delayFree = append(st.delayFree, delayedNow[:0])
 		delete(st.delayed, consume)
 	}
 	for _, sh := range st.shards {
-		st.sent += int64(len(sh.out[0]))
-		for _, a := range sh.out[0] {
-			fate := st.plan.Message(round, a.msg.From, st.extID(a.to), st.faults)
-			if fate.Drop {
-				st.res.Dropped++
-				if st.bus != nil {
-					st.bus.Emit(trace.Event{
-						Type: trace.EvDrop, Round: int32(round),
-						V: int32(a.msg.From), W: int32(st.extID(a.to)),
-					})
-				}
+		st.sent += int64(sh.buckets[0].msgs)
+		out := sh.buckets[0].recs
+		for i := range out {
+			rc := &out[i]
+			if rc.span == 0 {
+				st.route(round, int(rc.at), &rc.msg)
 				continue
 			}
-			if fate.Delay > 0 {
-				if st.delayed == nil {
-					//congest:coldpath first delay fault of the run allocates the bucket map once
-					st.delayed = make(map[int][]addressed)
-				}
-				at := consume + fate.Delay
-				st.delayed[at] = st.appendDelayed(st.delayed[at], a)
-				st.res.Delayed++
-				if st.bus != nil {
-					st.bus.Emit(trace.Event{
-						Type: trace.EvDelay, Round: int32(round),
-						V: int32(a.msg.From), W: int32(st.extID(a.to)), X: int64(fate.Delay),
-					})
-				}
-				continue
+			for _, t := range st.recipients(rc) {
+				st.route(round, t, &rc.msg)
 			}
-			st.admit(a, consume)
 		}
-		sh.out[0] = sh.out[0][:0]
+		sh.clearOutbox()
 	}
 	return nil
+}
+
+// recipients returns a broadcast record's span of the flat target array.
+//
+//congest:hotpath
+func (st *execState) recipients(rc *record) []int { return st.tgt[rc.at : rc.at+rc.span] }
+
+// route applies the fault plan to one message of the send round: one
+// fault-stream consult, then a drop, a delay, or admission into the next
+// round's inbox.
+//
+//idspace:internal to
+//congest:hotpath
+func (st *execState) route(round, to int, m *Message) {
+	fate := st.plan.Message(round, m.From, st.extID(to), st.faults)
+	if fate.Drop {
+		st.res.Dropped++
+		if st.bus != nil {
+			st.bus.Emit(trace.Event{
+				Type: trace.EvDrop, Round: int32(round),
+				V: int32(m.From), W: int32(st.extID(to)),
+			})
+		}
+		return
+	}
+	consume := round + 1
+	if fate.Delay > 0 {
+		if st.delayed == nil {
+			//congest:coldpath first delay fault of the run allocates the bucket map once
+			st.delayed = make(map[int][]record)
+		}
+		at := consume + fate.Delay
+		st.delayed[at] = st.appendDelayed(st.delayed[at], record{msg: *m, at: uint32(to)})
+		st.res.Delayed++
+		if st.bus != nil {
+			st.bus.Emit(trace.Event{
+				Type: trace.EvDelay, Round: int32(round),
+				V: int32(m.From), W: int32(st.extID(to)), X: int64(fate.Delay),
+			})
+		}
+		return
+	}
+	st.admit(to, m, consume)
 }
 
 // growArena sizes the inbox arena for total messages. The backing store
@@ -943,28 +1155,30 @@ const parallelMergeMin = 1 << 13
 
 // deliverBuckets is delivery on a reliable network, for every driver:
 // every shard swept its nodes into per-destination-shard sub-outboxes, so
-// shard d's whole inbox region is exactly {out[d] of every source shard} —
-// a merge over disjoint arena ranges that can run per destination shard,
-// in parallel, with no coordination beyond the range layout. A
-// single-shard run is the degenerate case: one bucket, one region.
+// shard d's whole inbox region is exactly the expansion of {buckets[d] of
+// every source shard} — a merge over disjoint arena ranges that can run
+// per destination shard, in parallel, with no coordination beyond the
+// range layout. A single-shard run is the degenerate case: one bucket,
+// one region.
 //
 // Recipient v's inbox concatenates source shards in ascending shard order
 // (shards cover ascending contiguous ID ranges), and within a source
-// bucket messages are in (sender ID, send call) order because the sweep
-// visits nodes in ID order. Every inbox is therefore sorted by sender, the
-// same order the faulted single-outbox path produces, whatever the shard
-// count.
+// bucket records are in (sender ID, send call) order because the sweep
+// visits nodes in ID order; a sender's broadcast record reaches each
+// recipient once. Every inbox is therefore sorted by sender, with each
+// sender's messages in call order — the same order the faulted
+// single-outbox path produces, whatever the shard count.
 //
 //congest:hotpath
 func (st *execState) deliverBuckets() {
 	// Region layout: shard d's inbox region starts where shard d-1's ends,
-	// sized by the bucket lengths (a count pass over W² slice headers, not
-	// messages).
+	// sized by the per-bucket message counts (a pass over W² counters, not
+	// records).
 	total := 0
 	for _, dst := range st.shards {
 		dst.mergeBase = total
 		for _, src := range st.shards {
-			total += len(src.out[dst.idx])
+			total += src.buckets[dst.idx].msgs
 		}
 	}
 	st.growArena(total)
@@ -975,66 +1189,96 @@ func (st *execState) deliverBuckets() {
 			st.mergeBucket(d)
 		}
 	}
-	// Fold the per-region tallies into the run counters in shard order and
-	// reset the buckets for the next sweep.
-	for _, dst := range st.shards {
-		st.sent += dst.mergeMsgs
-		st.res.Messages += dst.mergeMsgs
-		st.res.TotalBits += dst.mergeBits
-		if dst.mergeMax > st.res.MaxMessageBits {
-			st.res.MaxMessageBits = dst.mergeMax
-		}
-	}
+	// Every message sent is delivered: fold the senders' tallies into the
+	// run counters and reset the buckets for the next sweep.
+	st.sent += int64(total)
+	st.res.Messages += int64(total)
 	for _, src := range st.shards {
-		for d := range src.out {
-			src.out[d] = src.out[d][:0]
+		for d := range src.buckets {
+			b := &src.buckets[d]
+			st.res.TotalBits += b.bits
+			if b.maxBits > st.res.MaxMessageBits {
+				st.res.MaxMessageBits = b.maxBits
+			}
 		}
+		src.clearOutbox()
+	}
+}
+
+// clearOutbox empties every bucket and its tallies for the next sweep.
+//
+//congest:hotpath
+func (sh *shard) clearOutbox() {
+	for d := range sh.buckets {
+		b := &sh.buckets[d]
+		b.recs = b.recs[:0]
+		b.msgs, b.bits, b.maxBits = 0, 0, 0
 	}
 }
 
 // mergeBucket scatters destination shard d's inbox region: counting pass
 // over every source shard's bucket for d, prefix sum from the region base,
 // then the cursor scatter — the same two-pass layout as faulted deliver,
-// restricted to the region. Regions are disjoint in the arena and in
-// inboxOff/inboxLen (shard vertex ranges partition [0, n)), so mergeBucket
-// calls for distinct d are race-free and run on pool workers when volume
-// warrants.
+// restricted to the region. Both passes expand broadcast records along
+// the flat target array, skipping neighbors outside the region (a record
+// spans from its first to its last neighbor in d, which under a layout
+// may straddle other buckets' neighbors). Regions are disjoint in the
+// arena and in inboxOff/inboxLen (shard vertex ranges partition [0, n)),
+// so mergeBucket calls for distinct d are race-free and run on pool
+// workers when volume warrants.
 //
 //congest:hotpath
 func (st *execState) mergeBucket(d int) {
 	dst := st.shards[d]
-	for v := dst.lo; v < dst.hi; v++ {
+	lo, hi := dst.lo, dst.hi
+	for v := lo; v < hi; v++ {
 		st.inboxLen[v] = 0
 	}
 	for _, src := range st.shards {
-		for _, a := range src.out[d] {
-			st.inboxLen[a.to]++
+		out := src.buckets[d].recs
+		for i := range out {
+			rc := &out[i]
+			if rc.span == 0 {
+				st.inboxLen[rc.at]++
+				continue
+			}
+			for _, t := range st.recipients(rc) {
+				if t >= lo && t < hi {
+					st.inboxLen[t]++
+				}
+			}
 		}
 	}
 	off := dst.mergeBase
-	for v := dst.lo; v < dst.hi; v++ {
+	for v := lo; v < hi; v++ {
 		st.inboxOff[v] = off
 		off += st.inboxLen[v]
 		st.inboxLen[v] = 0
 	}
-	var msgs, totalBits int64
-	maxBits := 0
 	for _, src := range st.shards {
-		for _, a := range src.out[d] {
-			v := a.to
-			st.arena[st.inboxOff[v]+st.inboxLen[v]] = a.msg
-			st.inboxLen[v]++
-			msgs++
-			bits := int(a.msg.Wire.Bits)
-			totalBits += int64(bits)
-			if bits > maxBits {
-				maxBits = bits
+		out := src.buckets[d].recs
+		for i := range out {
+			rc := &out[i]
+			if rc.span == 0 {
+				st.place(int(rc.at), &rc.msg)
+				continue
+			}
+			for _, t := range st.recipients(rc) {
+				if t >= lo && t < hi {
+					st.place(t, &rc.msg)
+				}
 			}
 		}
 	}
-	dst.mergeMsgs = msgs
-	dst.mergeBits = totalBits
-	dst.mergeMax = maxBits
+}
+
+// place writes one message at its recipient's arena cursor.
+//
+//idspace:internal v
+//congest:hotpath
+func (st *execState) place(v int, m *Message) {
+	st.arena[st.inboxOff[v]+st.inboxLen[v]] = *m
+	st.inboxLen[v]++
 }
 
 // appendDelayed appends to a delay bucket, seeding empty buckets from the
@@ -1042,45 +1286,36 @@ func (st *execState) mergeBucket(d int) {
 // reuses buffers instead of allocating.
 //
 //congest:hotpath
-func (st *execState) appendDelayed(bucket []addressed, a addressed) []addressed {
+func (st *execState) appendDelayed(bucket []record, rc record) []record {
 	if bucket == nil && len(st.delayFree) > 0 {
 		bucket = st.delayFree[len(st.delayFree)-1]
 		st.delayFree = st.delayFree[:len(st.delayFree)-1]
 	}
-	return append(bucket, a)
+	return append(bucket, rc)
 }
 
 // admit finalizes delivery of one message into its recipient's inbox for
 // the given consumption round, unless the recipient is crashed then — a
 // dead vertex is not listening, so the message is lost.
 //
+//idspace:internal to
 //congest:hotpath
-func (st *execState) admit(a addressed, consume int) {
-	if st.plan != nil && st.plan.Vertex(consume, st.extID(a.to)) != faultsim.VertexUp {
+func (st *execState) admit(to int, m *Message, consume int) {
+	if st.plan != nil && st.plan.Vertex(consume, st.extID(to)) != faultsim.VertexUp {
 		st.res.Dropped++
 		if st.bus != nil {
 			// consume-1 is the round being delivered: event rounds stay
 			// nondecreasing within the stream, which Bisect relies on.
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDrop, Round: int32(consume - 1),
-				V: int32(a.msg.From), W: int32(st.extID(a.to)), X: 1,
+				V: int32(m.From), W: int32(st.extID(to)), X: 1,
 			})
 		}
 		return
 	}
-	st.deposit(a)
-}
-
-// deposit writes one delivered message at its recipient's arena cursor
-// and folds it into the run counters.
-//
-//congest:hotpath
-func (st *execState) deposit(a addressed) {
-	v := a.to
-	st.arena[st.inboxOff[v]+st.inboxLen[v]] = a.msg
-	st.inboxLen[v]++
+	st.place(to, m)
 	st.res.Messages++
-	bits := int(a.msg.Wire.Bits)
+	bits := int(m.Wire.Bits)
 	st.res.TotalBits += int64(bits)
 	if bits > st.res.MaxMessageBits {
 		st.res.MaxMessageBits = bits

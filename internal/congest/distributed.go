@@ -93,7 +93,9 @@ type RoundInput struct {
 }
 
 // Packet is one outgoing message from a worker sweep, in (sender ID, send
-// call) order — the exported form of the engine's internal outbox entry.
+// call) order — the exported form of one recipient of the engine's
+// internal outbox record (the worker expands each broadcast record along
+// its sender's row, so the wire carries one Packet per message).
 type Packet struct {
 	// To addresses the coordinator's internal storage; From is the
 	// sender's external node identity (what neighbors see on the wire).
@@ -417,10 +419,10 @@ func (d *distRun) replayAndRedo(s int) (RoundOutput, error) {
 }
 
 // apply merges the round's worker outputs into the coordinator's mirror
-// state in shard order: outbox packets (validated, and routed to their
-// destination shard's bucket on a reliable network), buffered trace
-// events, halt retirements on the mirror frontier, draw totals, and any
-// worker-reported model violation.
+// state in shard order: outbox packets (validated, re-addressed as point
+// records and routed to their destination shard's bucket on a reliable
+// network), buffered trace events, halt retirements on the mirror
+// frontier, draw totals, and any worker-reported model violation.
 func (d *distRun) apply(round int) {
 	st := d.st
 	var draws uint64
@@ -456,10 +458,10 @@ func (d *distRun) apply(round int) {
 					break
 				}
 				b := 0
-				if st.vshard != nil {
-					b = int(st.vshard[p.To])
+				if len(sh.buckets) > 1 {
+					b = sh.bucketOf(int(p.To))
 				}
-				sh.out[b] = append(sh.out[b], addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
+				sh.buckets[b].push(record{msg: Message{From: int(p.From), Wire: p.Wire}, at: uint32(p.To)}, 1)
 			}
 		}
 		sh.events = append(sh.events, out.Events...)
@@ -621,10 +623,9 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 	}
 	width := cfg.Hi - cfg.Lo
 	r := &Runner{opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced, nodes: make([]Node, width), ext: ext}
-	if ext != nil {
-		r.rows = newNbrRows(cfg.Lo, cfg.Hi, neighbors, ext)
-	}
-	sh := &shard{idx: cfg.Index, out: make([][]addressed, 1), logHalts: true}
+	r.rows = newNbrRows(cfg.Lo, cfg.Hi, neighbors, ext)
+	sh := newShard(cfg.Index, 1, width)
+	sh.logHalts = true
 	sh.resetFrontier(cfg.Lo, cfg.Hi)
 	sh.down = make([]uint64, len(sh.frontier))
 	st := &execState{
@@ -633,6 +634,7 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 		base:     cfg.Lo,
 		inboxOff: make([]int, width),
 		inboxLen: make([]int, width),
+		tgt:      r.rows.tgt,
 		ext:      ext,
 	}
 	for i := range r.nodes {
@@ -643,7 +645,7 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 		}
 		r.nodes[i] = nd
 	}
-	r.initContexts(st.ctxs, cfg.Lo, cfg.N, rng.New(cfg.Seed), neighbors, sh)
+	r.initContexts(st.ctxs, cfg.Lo, cfg.N, rng.New(cfg.Seed), sh)
 	return &ShardWorker{cfg: cfg, r: r, st: st, sh: sh}, nil
 }
 
@@ -708,14 +710,24 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 		}
 	}
 	sh.events = sh.events[:0]
-	sh.out[0] = sh.out[0][:0]
+	sh.clearOutbox()
 	sh.halted = sh.halted[:0]
 	w.r.sweepShard(st, sh, in.Round)
 	w.round++
 
+	// Expand the outbox into packets in send order: a broadcast record
+	// becomes one packet per neighbor, in row order.
 	w.pkts = w.pkts[:0]
-	for _, a := range sh.out[0] {
-		w.pkts = append(w.pkts, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
+	recs := sh.buckets[0].recs
+	for i := range recs {
+		rc := &recs[i]
+		if rc.span == 0 {
+			w.pkts = append(w.pkts, Packet{To: int32(rc.at), From: int32(rc.msg.From), Wire: rc.msg.Wire})
+			continue
+		}
+		for _, t := range st.recipients(rc) {
+			w.pkts = append(w.pkts, Packet{To: int32(t), From: int32(rc.msg.From), Wire: rc.msg.Wire})
+		}
 	}
 	out := RoundOutput{
 		Packets: w.pkts,

@@ -104,12 +104,10 @@ func (st *execState) rebalance(round, total int) {
 		sh.loadFrontier(lo, hi, st.scratch)
 		for v := lo; v < hi; v++ {
 			st.ctxs[v].shard = sh
-			if st.vshard != nil {
-				st.vshard[v] = int32(sh.idx)
-			}
 		}
 		lo = hi
 	}
+	st.setBounds()
 	st.rebalances++
 	if st.bus != nil {
 		st.bus.Emit(trace.Event{

@@ -285,8 +285,8 @@ func TestRebalancePartitionInvariants(t *testing.T) {
 			if st.ctxs[v].shard != sh {
 				t.Fatalf("vertex %d context points at the wrong shard", v)
 			}
-			if st.vshard != nil && st.vshard[v] != int32(sh.idx) {
-				t.Fatalf("vertex %d vshard = %d, want %d", v, st.vshard[v], sh.idx)
+			if len(sh.buckets) > 1 && sh.bucketOf(v) != sh.idx {
+				t.Fatalf("vertex %d routes to bucket %d, want %d", v, sh.bucketOf(v), sh.idx)
 			}
 		}
 		total += count

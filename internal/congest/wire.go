@@ -10,9 +10,13 @@ package congest
 // the value. Protocol packages own the kind namespace and the codec (see
 // internal/mis/proto: each payload type has a Wire() encoder and a
 // matching As* decoder). Because Wire contains no pointers, shard outboxes
-// and the round's inbox arena are pointer-free memory: sending a message
-// is a 40-byte value copy with no heap allocation, no interface boxing,
-// and nothing for the garbage collector to scan.
+// and the round's inbox arena are pointer-free memory with nothing for
+// the garbage collector to scan. Sending appends one 40-byte outbox
+// record with no heap allocation and no interface boxing: a Send or
+// SendSlot per message, a Broadcast once for all neighbors. Delivery
+// expands a broadcast record along the sender's neighbor row, writing the
+// same Message into each neighbor's inbox in row order, so inboxes stay
+// sorted by sender with each sender's messages in call order.
 type Wire struct {
 	// Kind tags the payload family. Zero is invalid, so a forgotten
 	// encoder shows up as kind 0 in tests.

@@ -115,6 +115,11 @@ func (g *Graph) Degree(v int) int { return g.offsets[v+1] - g.offsets[v] }
 // aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int { return g.adj[g.offsets[v]:g.offsets[v+1]] }
 
+// CSR returns the graph's compressed adjacency: v's sorted neighbors are
+// adj[offsets[v]:offsets[v+1]]. Both slices alias graph storage and must
+// not be modified.
+func (g *Graph) CSR() (offsets, adj []int) { return g.offsets, g.adj }
+
 // HasEdge reports whether {u, v} is an edge (binary search).
 func (g *Graph) HasEdge(u, v int) bool {
 	row := g.Neighbors(u)

@@ -75,10 +75,10 @@ func TestSeededViolations(t *testing.T) {
 	}
 	root := copyModule(t)
 
-	// Seed A: drop the extID translation on deliver's drop event, leaking
-	// the internal inbox slot into the trace stream.
+	// Seed A: drop the extID translation on the faulted path's drop
+	// event, leaking the internal inbox slot into the trace stream.
 	mutate(t, filepath.Join(root, "internal/congest/congest.go"),
-		"W: int32(st.extID(a.to))", "W: int32(a.to)")
+		"W: int32(st.extID(to))", "W: int32(to)")
 
 	// Seed B: draw from the coordinator-owned fault stream inside a pool
 	// worker goroutine — randomness consumed in scheduling order.

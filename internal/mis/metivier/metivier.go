@@ -33,12 +33,27 @@ type node struct {
 func (nd *node) Status() base.Status { return nd.status }
 
 // New returns a factory for Métivier MIS nodes, for use with
-// congest.NewRunner.
+// congest.NewRunner. Nodes come from chunked slabs that double from 16 up
+// to maxSlab nodes, so a whole-graph run costs a few hundred allocations
+// instead of one per vertex, and a run on a handful of vertices still
+// allocates only a small chunk.
 func New() func(v int) congest.Node {
+	var slab []node
+	next := 16
 	return func(int) congest.Node {
-		return &node{status: base.StatusActive}
+		if len(slab) == 0 {
+			slab = make([]node, next)
+			next = min(2*next, maxSlab)
+		}
+		nd := &slab[0]
+		slab = slab[1:]
+		nd.status = base.StatusActive
+		return nd
 	}
 }
+
+// maxSlab caps the node-slab chunk size.
+const maxSlab = 4096
 
 // Run executes the algorithm on g and returns the per-node statuses and
 // run statistics.
