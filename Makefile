@@ -125,7 +125,7 @@ loc:
 #   - dist (E21 / S29): sequential + fleets of 1, 2, 4, 8 shard worker
 #     processes at n = 2^10, clean and faulted; frame bytes and
 #     round-trip latency per round are the recorded transport cost.
-#   - layout (E22 / S30): identity / degsort / bfs over scrambled union,
+#   - layout (E22 / S30): identity / degsort over scrambled union,
 #     powerlaw and grid at n ∈ {2^16, 2^18, 2^20}, sequential and pool at
 #     4 workers; the best non-identity sequential layout on the densest
 #     family at 2^20 must beat identity by ≥ 1.15x.

@@ -46,7 +46,7 @@ func run() int {
 	alpha := flag.Int("alpha", 2, "arboricity parameter (union/pa)")
 	p := flag.Float64("p", 0.01, "edge probability (gnp) / radius (rgg)")
 	seed := flag.Uint64("seed", 1, "generator seed")
-	layoutName := flag.String("layout", "", "relabel vertices before output: identity|degsort|bfs (default identity)")
+	layoutName := flag.String("layout", "", "relabel vertices before output: identity|degsort (default identity)")
 	stream := flag.Bool("stream", false, "emit a JSONL update stream for the generated graph instead of an edge list")
 	streamBatches := flag.Int("stream-batches", 64, "update batches to generate (with -stream)")
 	streamBatchSize := flag.Int("stream-batch-size", 16, "updates per batch (with -stream)")

@@ -115,20 +115,25 @@ func TestSteadyStateRoundZeroAllocsBucketed(t *testing.T) {
 }
 
 // TestSteadyStateRoundZeroAllocsRelabeled extends the gate to a
-// non-identity layout: with the BFS relabeling active, every round runs
-// the external↔internal translation path (extID, the dual
-// neighbors/targets context slices) and must still allocate nothing.
+// non-identity layout: with the degsort ordering active on a graph whose
+// degree order is not its ID order, every round runs the
+// external↔internal translation path (extID, the external neighbor rows
+// beside the internal target rows) and must still allocate nothing.
 func TestSteadyStateRoundZeroAllocsRelabeled(t *testing.T) {
 	const n = 1024
-	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
+	r := NewRunner(gen.UnionOfTrees(n, 2, rng.New(1)), func(int) Node { return steadyBroadcaster{} }, Options{
 		Seed:   1,
-		Layout: "bfs",
+		Layout: "degsort",
 	})
 	if r.layoutErr != nil {
 		t.Fatal(r.layoutErr)
 	}
-	if r.perm == nil {
-		t.Fatal("bfs layout on a ring should produce a non-identity permutation")
+	moved := false
+	for v, p := range r.perm {
+		moved = moved || p != v
+	}
+	if !moved {
+		t.Fatal("degsort on a union of random trees should produce a non-identity permutation")
 	}
 	st := r.newExecState(1)
 	round := 0
@@ -239,10 +244,14 @@ const wholeRunBudget = 448
 // TestWholeRunAllocBudget bounds what a whole Métivier run allocates, not
 // just a steady-state round: on a union of two random spanning trees at
 // n = 2^16, NewRunner plus Run must allocate at most wholeRunBudget bytes
-// per vertex under the sequential driver and the two-worker pool. The
-// budget holds because a Broadcast is one outbox record, outboxes are
-// presized and RNG streams live in the contexts; copying every message
-// into an outbox grown by append costs over 1100.
+// per vertex under the sequential driver and the two-worker pool, with
+// the identity layout and with degsort (the graph's degree order is not
+// its ID order, so degsort moves vertices). The budget holds because a
+// Broadcast is one outbox record, outboxes are presized, RNG streams
+// live in the contexts and a layout builds only the internal target
+// rows; copying every message into an outbox grown by append costs over
+// 1100, and a relabeled copy of the graph plus re-sorted external rows
+// cost degsort about 130 more.
 func TestWholeRunAllocBudget(t *testing.T) {
 	const n = 1 << 16
 	g := gen.UnionOfTrees(n, 2, rng.New(1))
@@ -252,6 +261,8 @@ func TestWholeRunAllocBudget(t *testing.T) {
 	}{
 		{"sequential", Options{Seed: 1}},
 		{"pool-2", Options{Seed: 1, Driver: DriverPool, Workers: 2}},
+		{"degsort/sequential", Options{Seed: 1, Layout: "degsort"}},
+		{"degsort/pool-2", Options{Seed: 1, Layout: "degsort", Driver: DriverPool, Workers: 2}},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -379,14 +379,15 @@ type Options struct {
 	MessageBitLimit int
 	// Layout names the cache-conscious vertex ordering the engine applies
 	// at ingest (see internal/layout): "" or "identity" keeps the original
-	// labeling, "degsort" stores vertices by descending degree, "bfs"
-	// clusters neighborhoods Cuthill–McKee style. Relabeling is invisible
-	// to programs — contexts, messages, trace events, results, and errors
-	// all carry original (external) IDs — but it changes the engine's
-	// sweep and fault-draw order, so layout is part of run identity: trace
-	// fingerprints are pinned per layout, and all drivers stay
-	// bit-identical to each other within one. An unknown name fails Run
-	// with the parse error.
+	// labeling, "degsort" stores vertices by descending degree. The graph
+	// is not relabeled: each internal vertex keeps the ingest graph's row
+	// as its external row and gets that row mapped to internal IDs as its
+	// send targets. The ordering is invisible to programs — contexts,
+	// messages, trace events, results, and errors all carry original
+	// (external) IDs — but it changes the engine's sweep and fault-draw
+	// order, so layout is part of run identity: trace fingerprints are
+	// pinned per layout, and all drivers stay bit-identical to each other
+	// within one. An unknown name fails Run with the parse error.
 	Layout string
 	// Faults, when non-nil, is the fault-injection plan for the run: it
 	// decides the fate of every message (drop, delay) and every vertex
@@ -460,13 +461,11 @@ type Runner struct {
 	ran    bool
 	traced bool // full event stream wanted; set before workers start, read-only after
 
-	// Layout state (see internal/layout). Under the identity layout ig
-	// aliases g, perm and ext are nil, and rows is a view of g's CSR.
-	// Otherwise ig is the relabeled CSR the drivers shard and sweep,
-	// perm/ext translate external↔internal IDs, and rows holds every
-	// internal vertex's neighbor row in both ID spaces. rows.tgt is the
-	// flat target array broadcast records index.
-	ig *graph.Graph
+	// Layout state (see internal/layout). Under the identity layout perm
+	// and ext are nil and rows is a view of g's CSR. Otherwise perm/ext
+	// translate external↔internal IDs and rows.tgt holds every internal
+	// vertex's neighbor row mapped to internal IDs: the flat target array
+	// broadcast records index. The external rows are g's own.
 	//idspace:index external
 	//idspace:internal
 	perm []int // external ID -> internal ID; nil = identity
@@ -484,7 +483,7 @@ func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	r := &Runner{g: g, ig: g, opts: opts}
+	r := &Runner{g: g, opts: opts}
 	r.resolveLayout()
 	r.nodes = make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
@@ -497,12 +496,13 @@ func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	return r
 }
 
-// resolveLayout computes the configured ordering and relabels the graph.
-// Failures (unknown ordering name) are recorded in layoutErr and poison
-// Run; the runner falls back to identity internals so accessors stay safe.
+// resolveLayout computes the configured ordering and builds the target
+// rows from g's own rows. Failures (unknown ordering name) are recorded
+// in layoutErr and poison Run; the runner falls back to identity
+// internals so accessors stay safe.
 func (r *Runner) resolveLayout() {
 	off, adj := r.g.CSR()
-	r.rows = nbrRows{off: off, ext: adj, tgt: adj}
+	r.rows = nbrRows{off: off, src: r.g.Neighbors, tgt: adj}
 	o, err := layout.Parse(r.opts.Layout)
 	if err != nil {
 		r.layoutErr = err
@@ -514,78 +514,52 @@ func (r *Runner) resolveLayout() {
 		return
 	}
 	if perm == nil {
-		return // identity: ig aliases g, nothing stored
+		return // identity: the target rows are the CSR, nothing stored
 	}
-	ig, err := graph.Relabel(r.g, perm)
-	if err != nil {
-		r.layoutErr = err
-		return
-	}
-	r.ig, r.perm, r.ext = ig, perm, ext
-	r.rows = newNbrRows(0, ig.N(), ig.Neighbors, ext)
+	r.perm, r.ext = perm, ext
+	r.rows = newNbrRows(0, len(ext), func(v int) []int { return r.g.Neighbors(ext[v]) }, perm)
 }
 
-// nbrRows holds the neighbor rows of the internal vertices [lo, hi), each
-// twice: the neighbors' external IDs ascending (what contexts expose),
-// pairwise-aligned with their internal IDs (what sends address). Under the
-// identity layout the two arrays are one.
+// nbrRows holds the neighbor rows of the internal vertices [lo, hi). An
+// internal vertex's external row — its neighbors' external IDs,
+// ascending, what its context exposes — is its source row src(v),
+// aliased, never copied: the ingest graph's row on the coordinator, the
+// config frame's row on a shard worker. tgt holds the same rows mapped
+// to internal IDs, laid out in internal order: what sends address and
+// broadcast records index.
 type nbrRows struct {
 	//idspace:internal
 	lo  int
-	off []int // v-lo -> offset of v's row in ext/tgt
-	//idspace:external
-	ext []int
+	off []int // v-lo -> offset of v's row in tgt
+	src func(v int) []int
 	//idspace:internal
 	tgt []int
 }
 
-// newNbrRows builds the rows of [lo, hi) from the internal-order
-// adjacency and the internal→external ID map (nil = identity, where the
-// external rows alias the internal ones).
+// newNbrRows builds the target rows of [lo, hi) from each vertex's
+// external row src(v) and the external→internal ID map (nil =
+// identity). Both the coordinator and the shard worker build their rows
+// here; a row mapped through perm keeps src's order, so there is
+// nothing to sort.
 //
 //idspace:internal lo hi
-func newNbrRows(lo, hi int, adj func(v int) []int, ext []int) nbrRows {
-	rw := nbrRows{lo: lo, off: make([]int, hi-lo+1)}
+func newNbrRows(lo, hi int, src func(v int) []int, perm []int) nbrRows {
+	rw := nbrRows{lo: lo, off: make([]int, hi-lo+1), src: src}
 	for v := lo; v < hi; v++ {
-		rw.off[v-lo+1] = rw.off[v-lo] + len(adj(v))
+		rw.off[v-lo+1] = rw.off[v-lo] + len(src(v))
 	}
 	rw.tgt = make([]int, rw.off[hi-lo])
-	if ext == nil {
-		rw.ext = rw.tgt //idspace:ok identity layout: internal and external IDs coincide
-		for v := lo; v < hi; v++ {
-			copy(rw.tgt[rw.off[v-lo]:], adj(v))
-		}
-		return rw
-	}
-	rw.ext = make([]int, rw.off[hi-lo])
 	for v := lo; v < hi; v++ {
-		extRow, tgtRow := rw.row(v)
-		for i, q := range adj(v) {
-			extRow[i] = ext[q]
-			tgtRow[i] = q
+		row := rw.tgt[rw.off[v-lo]:rw.off[v-lo+1]]
+		if perm == nil {
+			copy(row, src(v))
+			continue
 		}
-		sort.Sort(&pairByExt{ext: extRow, tgt: tgtRow})
+		for i, y := range src(v) {
+			row[i] = perm[y]
+		}
 	}
 	return rw
-}
-
-// row returns internal vertex v's neighbor row in both ID spaces.
-//
-//idspace:internal v
-func (rw *nbrRows) row(v int) (ext, tgt []int) {
-	a, b := rw.off[v-rw.lo], rw.off[v-rw.lo+1]
-	return rw.ext[a:b], rw.tgt[a:b]
-}
-
-// pairByExt sorts a (external ID, internal ID) neighbor-row pair by
-// external ID, keeping the slices aligned.
-type pairByExt struct{ ext, tgt []int }
-
-func (s *pairByExt) Len() int           { return len(s.ext) }
-func (s *pairByExt) Less(i, j int) bool { return s.ext[i] < s.ext[j] }
-func (s *pairByExt) Swap(i, j int) {
-	s.ext[i], s.ext[j] = s.ext[j], s.ext[i]
-	s.tgt[i], s.tgt[j] = s.tgt[j], s.tgt[i]
 }
 
 // initContexts builds the contexts of internal vertices [lo,
@@ -604,11 +578,10 @@ func (r *Runner) initContexts(ctxs []Context, lo, n int, root *rng.RNG, sh *shar
 		} else {
 			extv = v //idspace:ok identity layout: internal and external IDs coincide
 		}
-		nbrs, _ := r.rows.row(v)
 		ctxs[i] = Context{
 			id:        extv,
 			n:         n,
-			neighbors: nbrs,
+			neighbors: r.rows.src(v),
 			row:       r.rows.off[v-r.rows.lo],
 			rng:       *root.Split(uint64(extv)),
 			shard:     sh,
@@ -817,7 +790,7 @@ func (st *execState) extID(v int) int {
 // vertex range into numShards near-equal contiguous pieces.
 func (r *Runner) newExecState(numShards int) *execState {
 	root := rng.New(r.opts.Seed)
-	n := r.ig.N()
+	n := r.g.N()
 	if numShards > n {
 		numShards = n
 	}

@@ -39,6 +39,7 @@ import (
 	"fmt"
 
 	"repro/internal/faultsim"
+	"repro/internal/layout"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -608,11 +609,13 @@ type ShardWorker struct {
 }
 
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
-// return the sorted internal-order adjacency of each owned vertex v in
-// [cfg.Lo, cfg.Hi). ext maps internal IDs to external (original) IDs for
-// the whole graph under a non-identity layout — nil means identity.
-// factory is called with external IDs and must return the same state
-// machine the coordinator's mirror uses. Every node must implement Porter.
+// return the external row of each owned internal vertex v in [cfg.Lo,
+// cfg.Hi): the ascending external IDs of the neighbors of external
+// vertex ext[v]. The contexts alias these rows. ext maps internal IDs to
+// external (original) IDs for the whole graph under a non-identity
+// layout — nil means identity. factory is called with external IDs and
+// must return the same state machine the coordinator's mirror uses.
+// Every node must implement Porter.
 func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		//idspace:ok the shard range is an internal-order concept; the error describes it as such
@@ -621,9 +624,13 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 	if ext != nil && len(ext) != cfg.N {
 		return nil, fmt.Errorf("congest: shard got %d ID-map entries for n=%d", len(ext), cfg.N)
 	}
+	var perm []int
+	if ext != nil {
+		perm = layout.Invert(ext)
+	}
 	width := cfg.Hi - cfg.Lo
 	r := &Runner{opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced, nodes: make([]Node, width), ext: ext}
-	r.rows = newNbrRows(cfg.Lo, cfg.Hi, neighbors, ext)
+	r.rows = newNbrRows(cfg.Lo, cfg.Hi, neighbors, perm)
 	sh := newShard(cfg.Index, 1, width)
 	sh.logHalts = true
 	sh.resetFrontier(cfg.Lo, cfg.Hi)

@@ -1,4 +1,4 @@
-// Layout suite: the cache-conscious relabeling pass must be invisible at
+// Layout suite: the cache-conscious vertex ordering must be invisible at
 // every user-visible surface. Within a layout, all drivers stay
 // bit-identical (clean and faulted); across layouts, a clean sequential
 // run produces the same external-ID statuses; and each layout's traced
@@ -20,22 +20,17 @@ import (
 	"repro/internal/trace"
 )
 
-// nonIdentityLayouts are the orderings that actually move vertices.
-func nonIdentityLayouts() []layout.Ordering { return []layout.Ordering{layout.DegSort, layout.BFS} }
-
-// TestCrossDriverLayouts runs the full driver matrix under every
+// TestCrossDriverLayouts runs the full driver matrix under the
 // non-identity layout, clean and faulted: within a layout the engine's
 // bit-identity guarantee must hold exactly as it does for identity.
 func TestCrossDriverLayouts(t *testing.T) {
 	n := 256
 	g := gen.UnionOfTrees(n, 2, rng.New(21))
 	plans := faultPlans(g)
-	for _, lo := range nonIdentityLayouts() {
-		name := string(lo)
-		runMatrix(t, "metivier/"+name, g, congest.Options{Seed: 77, Layout: name}, metivier.Run)
-		opts := congest.Options{Seed: 33, Faults: plans[len(plans)-1].plan, MaxRounds: 400, Layout: name}
-		runMatrix(t, "ftmetivier/"+name+"/composed", g, opts, ftmetivier.Run)
-	}
+	name := string(layout.DegSort)
+	runMatrix(t, "metivier/"+name, g, congest.Options{Seed: 77, Layout: name}, metivier.Run)
+	opts := congest.Options{Seed: 33, Faults: plans[len(plans)-1].plan, MaxRounds: 400, Layout: name}
+	runMatrix(t, "ftmetivier/"+name+"/composed", g, opts, ftmetivier.Run)
 }
 
 // TestLayoutInvariantMIS is the layout-transparency contract: a clean
@@ -78,18 +73,13 @@ func TestLayoutInvariantMIS(t *testing.T) {
 // TestGoldenLayoutFingerprints pins one traced clean run per layout on
 // the multicore golden graph. Identity must stay on the engine's
 // long-standing pinned fingerprint (relabeling OFF is byte-for-byte the
-// pre-layout engine); degsort and bfs each pin their own value, checked
-// across the sequential and pool drivers. Any drift here must be
-// deliberate (re-derive and update, as with golden_test.go).
+// pre-layout engine); degsort pins its own value, checked across the
+// sequential and pool drivers. Any drift here must be deliberate
+// (re-derive and update, as with golden_test.go).
 func TestGoldenLayoutFingerprints(t *testing.T) {
-	// BFS pins the identity value: the golden graph's path is already in
-	// breadth-first order, so Cuthill-McKee computes the identity
-	// permutation and the run must be byte-for-byte the identity run —
-	// itself a transparency check.
 	want := map[layout.Ordering]uint64{
 		layout.Identity: 0x12754683fe80ac53,
 		layout.DegSort:  0x4a63d15d437c03a3,
-		layout.BFS:      0x12754683fe80ac53,
 	}
 	n := 4096
 	edges := make([]graph.Edge, 0, n/2)
@@ -136,7 +126,7 @@ func TestLayoutUnknownRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown layout accepted")
 	}
-	want := `layout: unknown ordering "hilbert" (want identity|degsort|bfs)`
+	want := `layout: unknown ordering "hilbert" (want identity|degsort)`
 	if err.Error() != want {
 		t.Fatalf("error = %q, want %q", err, want)
 	}

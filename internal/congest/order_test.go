@@ -106,30 +106,28 @@ func (dropDelay) Vertex(round, v int) faultsim.VertexFate {
 // process, swept synchronously inside memConn.Send.
 type memFleet struct {
 	shards  int
-	adj     func(v int) []int // internal-order adjacency
+	adj     func(v int) []int // internal vertex -> its external row
 	ext     []int             // internal -> external; nil = identity
 	factory func(v int) Node
 }
 
 // newMemFleet resolves the layout the way the coordinator does, so the
-// workers receive the same internal-order rows.
+// workers receive the same external rows a config frame carries.
 func newMemFleet(t *testing.T, g *graph.Graph, layoutName string, factory func(int) Node, shards int) *memFleet {
 	t.Helper()
 	o, err := layout.Parse(layoutName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm, ext, err := layout.Compute(g, o)
+	_, ext, err := layout.Compute(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ig := g
-	if perm != nil {
-		if ig, err = graph.Relabel(g, perm); err != nil {
-			t.Fatal(err)
-		}
+	adj := g.Neighbors
+	if ext != nil {
+		adj = func(v int) []int { return g.Neighbors(ext[v]) }
 	}
-	return &memFleet{shards: shards, adj: ig.Neighbors, ext: ext, factory: factory}
+	return &memFleet{shards: shards, adj: adj, ext: ext, factory: factory}
 }
 
 func (f *memFleet) NumShards() int { return f.shards }

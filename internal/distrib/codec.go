@@ -203,9 +203,10 @@ func payloadKind(p []byte) (frameKind, *decoder, error) {
 }
 
 // configMsg is the fkConfig payload: the engine shard config, the
-// program spec, the owned vertices' adjacency (internal order under a
-// non-identity layout), and the whole graph's internal→external ID map
-// (empty for identity).
+// program spec, the owned vertices' external rows (adj[i] lists the
+// external IDs of the neighbors of internal vertex Lo+i, ascending — the
+// ingest graph's own row), and the whole graph's internal→external ID
+// map (empty for identity).
 type configMsg struct {
 	cfg  congest.ShardConfig
 	prog Program

@@ -346,7 +346,7 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 func TestConfigExtRoundTrip(t *testing.T) {
 	m := configMsg{
 		cfg: congest.ShardConfig{
-			Index: 0, NumShards: 2, Lo: 0, Hi: 3, N: 6, Seed: 7, Layout: "bfs",
+			Index: 0, NumShards: 2, Lo: 0, Hi: 3, N: 6, Seed: 7, Layout: "degsort",
 		},
 		prog: Program{Algorithm: "metivier"},
 		ext:  []int{5, 3, 0, 1, 4, 2},

@@ -400,13 +400,13 @@ func TestFleetReuse(t *testing.T) {
 	// Run 3 (relabeled): reuse once more under a non-identity layout; the
 	// external-ID statuses must match the sequential run of that layout.
 	r3 := congest.NewRunner(g, factory, congest.Options{
-		Seed: 42, Layout: "bfs", Driver: congest.DriverDistributed, Fleet: fleet,
+		Seed: 42, Layout: "degsort", Driver: congest.DriverDistributed, Fleet: fleet,
 	})
 	res3, err := r3.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqSt, seqRes3, err := runSequential(t, g, prog, congest.Options{Seed: 42, Layout: "bfs"})
+	seqSt, seqRes3, err := runSequential(t, g, prog, congest.Options{Seed: 42, Layout: "degsort"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,47 +25,44 @@ const (
 )
 
 // layoutView caches the fleet side of a run's vertex ordering: the
-// relabeled internal-order graph plus the internal→external ID map that
-// the config frames ship. Fleets resolve it lazily on the first Shard
-// call and keep it for the fleet's life, so reconfiguring a reused fleet
-// for another run of the same layout costs nothing.
+// internal→external ID map that the config frames ship. Fleets resolve
+// it lazily on the first Shard call and keep it for the fleet's life, so
+// reconfiguring a reused fleet for another run of the same layout costs
+// nothing.
 type layoutView struct {
 	resolved bool
 	name     layout.Ordering
-	ig       *graph.Graph
 	ext      []int
 }
 
 // view resolves (and caches) the ordering for g.
-func (lv *layoutView) view(g *graph.Graph, name string) (*graph.Graph, []int, error) {
+func (lv *layoutView) view(g *graph.Graph, name string) ([]int, error) {
 	o, err := layout.Parse(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if lv.resolved && lv.name == o {
-		return lv.ig, lv.ext, nil
+		return lv.ext, nil
 	}
-	perm, ext, err := layout.Compute(g, o)
+	_, ext, err := layout.Compute(g, o)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ig := g
-	if perm != nil {
-		if ig, err = graph.Relabel(g, perm); err != nil {
-			return nil, nil, err
-		}
-	}
-	lv.resolved, lv.name, lv.ig, lv.ext = true, o, ig, ext
-	return ig, ext, nil
+	lv.resolved, lv.name, lv.ext = true, o, ext
+	return ext, nil
 }
 
 // handshake runs the coordinator side of connection setup: ship the
-// shard's config (program spec + internal-order adjacency of the owned
-// range + ID map) and read the worker's hello.
-func handshake(fc *frameConn, ig *graph.Graph, ext []int, prog Program, cfg congest.ShardConfig) error {
+// shard's config (program spec + the owned range's external rows, g's
+// own, + ID map) and read the worker's hello.
+func handshake(fc *frameConn, g *graph.Graph, ext []int, prog Program, cfg congest.ShardConfig) error {
 	adj := make([][]int, cfg.Hi-cfg.Lo)
 	for v := cfg.Lo; v < cfg.Hi; v++ {
-		adj[v-cfg.Lo] = ig.Neighbors(v)
+		if ext != nil {
+			adj[v-cfg.Lo] = g.Neighbors(ext[v])
+		} else {
+			adj[v-cfg.Lo] = g.Neighbors(v)
+		}
 	}
 	var enc encoder
 	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj, ext: ext})
@@ -192,11 +189,11 @@ func (sc *shardConn) Close() error { return sc.fc.close() }
 // falls back to a respawn on any error.
 //
 //lint:advisory the rehandshake deadline is a liveness timeout on worker reconfiguration, never program logic
-func rehandshake(fc *frameConn, ig *graph.Graph, ext []int, prog Program, cfg congest.ShardConfig) error {
+func rehandshake(fc *frameConn, g *graph.Graph, ext []int, prog Program, cfg congest.ShardConfig) error {
 	if err := fc.c.SetDeadline(time.Now().Add(rehandshakeTimeout)); err != nil {
 		return err
 	}
-	err := handshake(fc, ig, ext, prog, cfg)
+	err := handshake(fc, g, ext, prog, cfg)
 	if derr := fc.c.SetDeadline(time.Time{}); err == nil {
 		err = derr
 	}
@@ -284,12 +281,12 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	if s < 0 || s >= f.shards {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, f.shards)
 	}
-	ig, ext, err := f.lv.view(f.g, cfg.Layout)
+	ext, err := f.lv.view(f.g, cfg.Layout)
 	if err != nil {
 		return nil, err
 	}
 	if f.cmds[s] != nil && f.conns[s] != nil {
-		if err := rehandshake(f.conns[s].fc, ig, ext, f.prog, cfg); err == nil {
+		if err := rehandshake(f.conns[s].fc, f.g, ext, f.prog, cfg); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()
@@ -318,7 +315,7 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		return nil, fmt.Errorf("distrib: worker for shard %d never dialed back: %w", s, err)
 	}
 	fc := newFrameConn(conn)
-	if err := handshake(fc, ig, ext, f.prog, cfg); err != nil {
+	if err := handshake(fc, f.g, ext, f.prog, cfg); err != nil {
 		_ = fc.close()
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
@@ -398,14 +395,14 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	if s < 0 || s >= len(f.addrs) {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, len(f.addrs))
 	}
-	ig, ext, err := f.lv.view(f.g, cfg.Layout)
+	ext, err := f.lv.view(f.g, cfg.Layout)
 	if err != nil {
 		return nil, err
 	}
 	// A connection kept alive by a previous run is reconfigured in place;
 	// failure falls through to a fresh dial.
 	if f.conns[s] != nil {
-		if err := rehandshake(f.conns[s].fc, ig, ext, f.prog, cfg); err == nil {
+		if err := rehandshake(f.conns[s].fc, f.g, ext, f.prog, cfg); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()
@@ -424,7 +421,7 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	fc := newFrameConn(conn)
-	if err := handshake(fc, ig, ext, f.prog, cfg); err != nil {
+	if err := handshake(fc, f.g, ext, f.prog, cfg); err != nil {
 		_ = fc.close()
 		return nil, err
 	}

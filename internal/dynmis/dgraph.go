@@ -149,6 +149,31 @@ func (d *DGraph) RemoveNode(v int) ([]int, error) {
 	return former, nil
 }
 
+// Apply performs one update and appends the vertices it touched to
+// touched: an edge update's two endpoints, an inserted vertex, or a
+// removed vertex's former neighbors. An OpInsertNode with U >= 0 must
+// name the ID InsertNode allocates. Engine.Apply and the
+// full-recompute baseline both mutate their graphs through it.
+func (d *DGraph) Apply(u Update, touched []int) ([]int, error) {
+	switch u.Op {
+	case OpInsertEdge:
+		return append(touched, u.U, u.V), d.InsertEdge(u.U, u.V)
+	case OpRemoveEdge:
+		return append(touched, u.U, u.V), d.RemoveEdge(u.U, u.V)
+	case OpInsertNode:
+		id := d.InsertNode()
+		if u.U >= 0 && u.U != id {
+			return touched, fmt.Errorf("expected node ID %d, allocated %d", u.U, id)
+		}
+		return append(touched, id), nil
+	case OpRemoveNode:
+		former, err := d.RemoveNode(u.U)
+		return append(touched, former...), err
+	default:
+		return touched, fmt.Errorf("invalid op %v", u.Op)
+	}
+}
+
 // Snapshot materializes the live subgraph as an immutable graph.Graph plus
 // the mapping back to DGraph IDs: orig[i] is the DGraph ID of snapshot
 // vertex i. Used by the full-recompute baseline and the property tests.

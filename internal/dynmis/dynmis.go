@@ -165,38 +165,18 @@ func (e *Engine) Apply(b Batch) (BatchReport, error) {
 	affected := e.affected[:0]
 	for i, u := range b {
 		var err error
-		switch u.Op {
-		case OpInsertEdge:
-			err = e.d.InsertEdge(u.U, u.V)
-			affected = append(affected, u.U, u.V)
-		case OpRemoveEdge:
-			err = e.d.RemoveEdge(u.U, u.V)
-			affected = append(affected, u.U, u.V)
-		case OpInsertNode:
-			id := e.d.InsertNode()
-			if u.U >= 0 && u.U != id {
-				err = fmt.Errorf("expected node ID %d, allocated %d", u.U, id)
-				break
-			}
-			e.inMIS = append(e.inMIS, false)
-			e.mark = append(e.mark, 0)
-			e.local = append(e.local, 0)
-			affected = append(affected, id)
-		case OpRemoveNode:
-			var former []int
-			former, err = e.d.RemoveNode(u.U)
-			if err != nil {
-				break
-			}
-			e.inMIS[u.U] = false
-			affected = append(affected, former...)
-		default:
-			err = fmt.Errorf("invalid op %v", u.Op)
-		}
-		if err != nil {
+		if affected, err = e.d.Apply(u, affected); err != nil {
 			e.affected = affected
 			e.err = fmt.Errorf("dynmis: batch %d update %d (%v): %w", rep.Batch, i, u, err)
 			return BatchReport{}, e.err
+		}
+		switch u.Op {
+		case OpInsertNode:
+			e.inMIS = append(e.inMIS, false)
+			e.mark = append(e.mark, 0)
+			e.local = append(e.local, 0)
+		case OpRemoveNode:
+			e.inMIS[u.U] = false
 		}
 	}
 	// Canonicalize the touched set: sorted, deduped, live vertices only.

@@ -112,7 +112,8 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 	return nil
 }
 
-// repairRingSize bounds the per-repair trace ring. The running fingerprint
-// covers the whole event stream regardless of ring capacity, and repair
-// regions are small, so a modest ring keeps per-batch allocation flat.
-const repairRingSize = 1 << 10
+// repairRingSize is the per-repair trace ring's capacity. A repair reads
+// only the recorder's fingerprint, which covers the whole event stream
+// whatever the ring holds, so one slot suffices; a 1024-event ring would
+// cost about 40 KB per repaired batch.
+const repairRingSize = 1

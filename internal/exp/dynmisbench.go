@@ -185,9 +185,11 @@ func runDynmisBench(size sizing, seed uint64) (*DynmisBenchReport, error) {
 		}
 		var recomputeWall time.Duration
 		sampledUpdates := 0
+		var touched []int
 		for bi, b := range batches {
 			for _, u := range b {
-				if err := applyToDGraph(d, u); err != nil {
+				var err error
+				if touched, err = d.Apply(u, touched[:0]); err != nil {
 					return nil, fmt.Errorf("dynmis bench: %s n=%d baseline batch %d: %w", bc.family, bc.n, bi, err)
 				}
 			}
@@ -244,27 +246,6 @@ func (r *DynmisBenchReport) Table() *stats.Table {
 // deterministic.
 func recomputeOptions(seed uint64, batch int) congest.Options {
 	return congest.Options{Seed: rng.New(seed).Split(uint64(batch)).Uint64()}
-}
-
-// applyToDGraph mirrors one update onto the baseline's bare graph.
-func applyToDGraph(d *dynmis.DGraph, u dynmis.Update) error {
-	switch u.Op {
-	case dynmis.OpInsertEdge:
-		return d.InsertEdge(u.U, u.V)
-	case dynmis.OpRemoveEdge:
-		return d.RemoveEdge(u.U, u.V)
-	case dynmis.OpInsertNode:
-		id := d.InsertNode()
-		if u.U >= 0 && u.U != id {
-			return fmt.Errorf("expected node ID %d, allocated %d", u.U, id)
-		}
-		return nil
-	case dynmis.OpRemoveNode:
-		_, err := d.RemoveNode(u.U)
-		return err
-	default:
-		return fmt.Errorf("invalid op %v", u.Op)
-	}
 }
 
 // E20DynamicUpdates is the in-harness slice of the dynamic-MIS benchmark

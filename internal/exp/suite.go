@@ -37,7 +37,7 @@ type Group struct {
 // Cell is one run configuration applied to every group of a suite.
 type Cell struct {
 	// Layout is the engine's vertex ordering; "" keeps the ingest
-	// labeling and skips the relabel-cost measurement.
+	// labeling and skips the layout-cost measurement.
 	Layout string
 	Driver congest.DriverKind
 	// Workers is the pool's shard count request (0 = GOMAXPROCS) or the
@@ -109,9 +109,9 @@ type Row struct {
 	// bytes per round and the mean per-shard frame round trip (advisory).
 	FrameBytesPerRound float64 `json:"frame_bytes_per_round,omitempty"`
 	MeanRTTNS          int64   `json:"mean_rtt_ns,omitempty"`
-	// RelabelNS is the one-time cost of computing the layout and
-	// rebuilding the CSR in its order.
-	RelabelNS int64 `json:"relabel_ns,omitempty"`
+	// LayoutNS is the one-time cost of computing the layout's
+	// permutation.
+	LayoutNS int64 `json:"layout_ns,omitempty"`
 	// Speedup is wall(group's reference row) / wall(this row).
 	Speedup float64 `json:"speedup"`
 
@@ -264,7 +264,7 @@ func layoutSuite(ns []int, reps int) Suite {
 		Name:    "layout",
 		Title:   "Cache-conscious layouts — metivier, scrambled labels",
 		Reps:    reps,
-		Columns: []string{"family", "n", "layout", "driver", "wall ms", "relabel ms", "speedup", "msgs/s"},
+		Columns: []string{"family", "n", "layout", "driver", "wall ms", "layout ms", "speedup", "msgs/s"},
 		bars:    layoutBars,
 	}
 	for _, fam := range []string{"union-a4", "powerlaw", "grid"} {
@@ -402,7 +402,7 @@ func runSuite(s Suite, seed uint64) (*SuiteReport, error) {
 	return rep, nil
 }
 
-// runCell fills row with cell c's measurements on g: the relabel cost,
+// runCell fills row with cell c's measurements on g: the layout cost,
 // s.Reps timed runs (best wall, fewest allocations), one traced clean
 // fingerprint run and, for faulted cells, one traced faulted run. A
 // distributed cell runs all of them on one fleet of worker processes.
@@ -427,14 +427,10 @@ func runCell(row *Row, g *graph.Graph, s Suite, c Cell, seed uint64) error {
 
 	if c.Layout != "" {
 		start := time.Now()
-		perm, _, err := layout.Compute(g, layout.Ordering(c.Layout))
-		if err == nil && perm != nil {
-			_, err = graph.Relabel(g, perm)
-		}
-		if err != nil {
+		if _, _, err := layout.Compute(g, layout.Ordering(c.Layout)); err != nil {
 			return err
 		}
-		row.RelabelNS = int64(time.Since(start))
+		row.LayoutNS = int64(time.Since(start))
 	}
 
 	var ms runtime.MemStats
@@ -731,8 +727,8 @@ func column(r Row, name string) interface{} {
 		return r.Trace
 	case "wall ms":
 		return float64(r.WallNS) / 1e6
-	case "relabel ms":
-		return float64(r.RelabelNS) / 1e6
+	case "layout ms":
+		return float64(r.LayoutNS) / 1e6
 	case "speedup":
 		return r.Speedup
 	case "overhead %":

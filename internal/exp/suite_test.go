@@ -104,8 +104,8 @@ func TestMetivierSuitesQuick(t *testing.T) {
 					}
 				}
 			case "layout":
-				if len(ref) != len(s.Groups)*3 {
-					t.Fatalf("expected 3 layouts per group, got %d layout groups", len(ref))
+				if len(ref) != len(s.Groups)*2 {
+					t.Fatalf("expected 2 layouts per group, got %d layout groups", len(ref))
 				}
 			}
 		})
@@ -202,7 +202,7 @@ func TestCheckGroup(t *testing.T) {
 	seq, pool := congest.DriverSequential.String(), congest.DriverPool.String()
 	ok := []Row{
 		row("identity", seq, "0xa", "0xf"), row("identity", pool, "0xa", "0xf"),
-		row("bfs", seq, "0xb", "0xf"), row("bfs", pool, "0xb", "0xf"),
+		row("degsort", seq, "0xb", "0xf"), row("degsort", pool, "0xb", "0xf"),
 	}
 	if err := checkGroup(ok); err != nil {
 		t.Fatalf("agreeing rows rejected: %v", err)
@@ -267,11 +267,11 @@ func TestCheckBars(t *testing.T) {
 	// layoutBars: the densest family at the largest n decides.
 	seq := congest.DriverSequential.String()
 	rows := []Row{
-		{Family: "grid", N: 1 << 20, M: 10, Layout: "bfs", Driver: seq, Speedup: 2},
+		{Family: "grid", N: 1 << 20, M: 10, Layout: "degsort", Driver: seq, Speedup: 2},
 		{Family: "union-a4", N: 1 << 20, M: 40, Layout: "identity", Driver: seq, Speedup: 1},
 		{Family: "union-a4", N: 1 << 20, M: 40, Layout: "degsort", Driver: seq, Speedup: 1.1},
-		{Family: "union-a4", N: 1 << 20, M: 40, Layout: "bfs", Driver: pool, Speedup: 3},
-		{Family: "union-a4", N: 1 << 18, M: 90, Layout: "bfs", Driver: seq, Speedup: 3},
+		{Family: "union-a4", N: 1 << 20, M: 40, Layout: "degsort", Driver: pool, Speedup: 3},
+		{Family: "union-a4", N: 1 << 18, M: 90, Layout: "degsort", Driver: seq, Speedup: 3},
 	}
 	bars := layoutBars(rows)
 	if len(bars) != 1 || bars[0].Value != 1.1 || checkBars(bars) == nil {

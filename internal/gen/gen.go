@@ -416,15 +416,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Relabel returns an isomorphic copy of g with vertex v renamed to
-// perm[v]. perm must be a permutation of 0..n-1. Relabeling is how the
-// tests check that algorithm guarantees do not secretly depend on the ID
-// assignment (IDs are only ever used for tie-breaking). It delegates to
-// graph.Relabel, the direct CSR rebuild the engine's layout pass uses.
-func Relabel(g *graph.Graph, perm []int) (*graph.Graph, error) {
-	return graph.Relabel(g, perm)
-}
-
 // RandomRegular returns a random d-regular graph on n vertices via the
 // configuration model with retries: d half-edges per vertex are paired
 // uniformly; pairings with self-loops or duplicate edges are rejected and

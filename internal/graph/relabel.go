@@ -9,9 +9,11 @@ import (
 // perm[v]; perm must be a permutation of 0..n-1. Unlike reconstructing
 // from an edge list, the copy is built row-by-row straight into CSR form:
 // new vertex p's row is old vertex inv[p]'s neighbors mapped through perm
-// and re-sorted. This is the ingest pass the engine's cache-conscious
-// layouts (internal/layout, congest.Options.Layout) and the dynamic-MIS
-// engine apply, so it avoids the O(m) edge-struct materialization.
+// and re-sorted, which avoids the O(m) edge-struct materialization. It
+// scrambles labels for experiments, backs graphgen -layout, and lets
+// tests check that results do not depend on the ID assignment. The
+// engine's layouts (congest.Options.Layout) do not relabel: they map
+// each ingest row through the permutation instead.
 func Relabel(g *Graph, perm []int) (*Graph, error) {
 	n := g.N()
 	if len(perm) != n {

@@ -37,7 +37,7 @@ func invert(perm []int) []int {
 	return inv
 }
 
-// TestRelabelRoundTrip is the layout pass's core safety property: relabeling
+// TestRelabelRoundTrip is Relabel's core safety property: relabeling
 // by any permutation and then by its inverse must reproduce the original CSR
 // exactly, across every generator family in the suite.
 func TestRelabelRoundTrip(t *testing.T) {

@@ -1,8 +1,10 @@
 // Package layout computes cache-conscious vertex orderings: permutations
-// that relabel a graph so the CSR adjacency arrays are walked in a
-// locality-friendly order. The engine applies an ordering at ingest
-// (congest.Options.Layout), storing vertices in permuted "internal" order
-// while every user-visible surface keeps the original "external" IDs.
+// that renumber a graph's vertices so the engine's per-vertex arrays are
+// walked in a locality-friendly order. The engine applies an ordering at
+// ingest (congest.Options.Layout), storing vertices in permuted
+// "internal" order while every user-visible surface keeps the original
+// "external" IDs; it maps each ingest row through the permutation and
+// never builds a relabeled copy of the graph.
 //
 // An ordering is a pure function of the graph — no randomness, no
 // wall-clock, no map iteration — so the same graph always yields the same
@@ -30,16 +32,10 @@ const (
 	// original ID ascending. High-degree hubs land at the front of the
 	// CSR arrays, so the rows touched most often share cache lines.
 	DegSort Ordering = "degsort"
-	// BFS is a Cuthill–McKee-style ordering: each connected component is
-	// traversed breadth-first from a deterministic minimum-degree root,
-	// visiting unplaced neighbors in (degree ascending, ID ascending)
-	// order. Neighbors receive nearby internal IDs, which clusters the
-	// adjacency walks of neighborhood-local algorithms.
-	BFS Ordering = "bfs"
 )
 
 // Orderings lists every supported ordering, Identity first.
-func Orderings() []Ordering { return []Ordering{Identity, DegSort, BFS} }
+func Orderings() []Ordering { return []Ordering{Identity, DegSort} }
 
 // Parse resolves an ordering name. The empty string means Identity, so
 // zero-valued options keep today's behavior; an unknown name is an error
@@ -50,34 +46,35 @@ func Parse(s string) (Ordering, error) {
 		return Identity, nil
 	case DegSort:
 		return DegSort, nil
-	case BFS:
-		return BFS, nil
 	default:
-		return "", fmt.Errorf("layout: unknown ordering %q (want identity|degsort|bfs)", s)
+		return "", fmt.Errorf("layout: unknown ordering %q (want identity|degsort)", s)
 	}
 }
 
 // Compute returns the permutation for an ordering over g: perm maps
 // original ID → internal ID and inv maps internal ID → original ID.
-// Identity returns (nil, nil, nil) — the caller stores nothing and skips
-// the relabel entirely, which is what keeps the default path byte-for-byte
-// identical to the pre-layout engine.
+// Identity returns (nil, nil, nil) — the caller stores nothing and
+// builds no permuted rows, which is what keeps the default path
+// byte-for-byte identical to the pre-layout engine.
 func Compute(g *graph.Graph, o Ordering) (perm, inv []int, err error) {
 	switch o {
 	case Identity:
 		return nil, nil, nil
 	case DegSort:
 		inv = degsortOrder(g)
-	case BFS:
-		inv = bfsOrder(g)
 	default:
-		return nil, nil, fmt.Errorf("layout: unknown ordering %q (want identity|degsort|bfs)", o)
+		return nil, nil, fmt.Errorf("layout: unknown ordering %q (want identity|degsort)", o)
 	}
-	perm = make([]int, len(inv))
-	for p, v := range inv {
-		perm[v] = p
+	return Invert(inv), inv, nil
+}
+
+// Invert returns the inverse of the permutation p: Invert(p)[p[i]] = i.
+func Invert(p []int) []int {
+	q := make([]int, len(p))
+	for i, v := range p {
+		q[v] = i
 	}
-	return perm, inv, nil
+	return q
 }
 
 // degsortOrder returns the visitation order (internal → original) of the
@@ -98,70 +95,5 @@ func degsortOrder(g *graph.Graph) []int {
 		}
 		return order[a] < order[b]
 	})
-	return order
-}
-
-// bfsOrder returns the visitation order of the BFS (Cuthill–McKee-style)
-// ordering. Components are discovered by scanning original IDs ascending;
-// each component is rooted at its minimum-degree vertex (ties by lowest
-// ID) and traversed breadth-first, appending unplaced neighbors sorted by
-// (degree ascending, ID ascending). Every step is a deterministic function
-// of the graph. The returned slice holds external (original) IDs.
-//
-//idspace:returns external
-func bfsOrder(g *graph.Graph) []int {
-	n := g.N()
-	order := make([]int, 0, n)
-	placed := make([]bool, n)
-	var comp, queue, frontier []int
-	for s := 0; s < n; s++ {
-		if placed[s] {
-			continue
-		}
-		// Discover the component of s (membership only; order comes from
-		// the rooted traversal below).
-		comp = append(comp[:0], s)
-		placed[s] = true
-		for i := 0; i < len(comp); i++ {
-			for _, w := range g.Neighbors(comp[i]) {
-				if !placed[w] {
-					placed[w] = true
-					comp = append(comp, w)
-				}
-			}
-		}
-		root := comp[0]
-		for _, v := range comp {
-			if dv, dr := g.Degree(v), g.Degree(root); dv < dr || (dv == dr && v < root) {
-				root = v
-			}
-		}
-		// Cuthill–McKee from the root. placed bits were consumed by the
-		// discovery pass, so reset them for the traversal's visited role.
-		for _, v := range comp {
-			placed[v] = false
-		}
-		placed[root] = true
-		queue = append(queue[:0], root)
-		for i := 0; i < len(queue); i++ {
-			v := queue[i]
-			order = append(order, v)
-			frontier = frontier[:0]
-			for _, w := range g.Neighbors(v) {
-				if !placed[w] {
-					placed[w] = true
-					frontier = append(frontier, w)
-				}
-			}
-			sort.Slice(frontier, func(a, b int) bool {
-				da, db := g.Degree(frontier[a]), g.Degree(frontier[b])
-				if da != db {
-					return da < db
-				}
-				return frontier[a] < frontier[b]
-			})
-			queue = append(queue, frontier...)
-		}
-	}
 	return order
 }
