@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate smoke artifacts-check perfbench-check ci loc bench
+.PHONY: build test vet misvet race cover alloc-gate fuzz-smoke smoke artifacts-check perfbench-check ci loc bench
 
 build:
 	go build ./...
@@ -26,8 +26,8 @@ misvet:
 	go run ./cmd/misvet ./...
 
 # Engine safety net: vet plus race-detector coverage of the concurrent
-# code — the CONGEST drivers (sharded worker pool with its parallel merge
-# and rebalancer, distributed coordinator) and the multi-process fleet
+# code — the CONGEST drivers (sharded worker pool with its parallel merge,
+# distributed coordinator) and the multi-process fleet
 # transport (frame codec, worker protocol, crash recovery).
 race:
 	go vet ./internal/congest/... ./internal/distrib/... && go test -race ./internal/congest/... ./internal/distrib/...
@@ -63,9 +63,24 @@ cover:
 # invariant the value-typed wire payloads and the flat inbox arena exist
 # to provide — and a whole Métivier run at n = 2^16 (sequential and
 # two-worker pool) must allocate at most 448 bytes per vertex, what
-# broadcast records and presized outboxes buy. Fast (< 1s); runs in ci.
+# broadcast records and presized outboxes buy — and a whole sequential
+# Métivier run on an 8-vertex graph must stay at 15 allocations, the fixed
+# cost a Runner built per dynamic repair pays. Fast (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^(TestSteadyStateRound|TestWholeRunAllocBudget)' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestWholeRunAllocBudget|TestTinySequentialRunAllocs)' -count=1 ./internal/congest/
+
+# Fuzz smoke: a fixed short run of each native fuzz target — the
+# sequential-vs-pool differential check (FuzzDriversAgree: equal Result,
+# error and trace fingerprint, a valid MIS on clean runs) and the two
+# graph-ingest targets. go test fuzzes one target per invocation; a
+# failing input is written under the package's testdata/fuzz. About 15 s;
+# runs in ci.
+FUZZ_TIME = 5s
+
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzDriversAgree$$' -fuzztime $(FUZZ_TIME) ./internal/congest/
+	go test -run '^$$' -fuzz '^FuzzNewGraph$$' -fuzztime $(FUZZ_TIME) ./internal/graph/
+	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZ_TIME) ./internal/graph/
 
 # Benchmark smoke: the performance experiments at test size in one
 # compile, through the same producers as the BENCH_*.json artifacts — the
@@ -96,9 +111,9 @@ perfbench-check:
 
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
-# floors, allocation gate, benchmark smoke (E17–E22), artifact
-# determinism gate, benchmark build check.
-ci: test vet misvet race cover alloc-gate smoke artifacts-check perfbench-check
+# floors, allocation gate, fuzz smoke, benchmark smoke (E17–E22),
+# artifact determinism gate, benchmark build check.
+ci: test vet misvet race cover alloc-gate fuzz-smoke smoke artifacts-check perfbench-check
 
 # Go line counts per package: non-test and test files, then the module
 # totals — the figures a PR reports as its net line count. Not part of ci.

@@ -407,7 +407,7 @@ type Options struct {
 	// sink that keys on trace.EvRoundEnd for a per-round hook (round,
 	// live count, sends).
 	Events trace.Sink
-	// EventTiming, when set alongside Events, adds the pool driver's
+	// EventTiming, when set alongside Events, adds the in-process drivers'
 	// wall-clock shard-sweep and merge timing events (advisory: they are
 	// real durations, not deterministic values). DriverStats aggregates
 	// them.
@@ -613,22 +613,23 @@ func (r *Runner) Run() (Result, error) {
 	if len(r.rows.tgt) > maxTargets {
 		return Result{}, fmt.Errorf("congest: %d adjacency entries exceed the %d an outbox record can address", len(r.rows.tgt), maxTargets)
 	}
-	switch r.opts.Driver {
-	case DriverPool:
-		return r.runPool()
-	case DriverDistributed:
+	if r.opts.Driver == DriverDistributed {
 		return r.runDistributed()
-	default:
-		return r.runSequential()
 	}
+	workers := 1
+	if r.opts.Driver == DriverPool {
+		workers = r.opts.WorkerCount(r.g.N())
+	}
+	return r.runPool(workers)
 }
 
 // shard is a contiguous vertex range [lo, hi) owned by one worker. Its
 // outboxes accumulate the records its nodes send during a sweep, in
 // (sender ID, send call) order per destination bucket; its frontier is a
 // dense grow-only bitset of the not-yet-halted vertices in the range (see
-// frontier.go). Only the owning worker touches a shard during a sweep; the
-// coordinator reads and re-partitions it between sweeps (rebalance.go).
+// frontier.go). The range is fixed when newExecState builds the shard.
+// Only the owning worker touches a shard during a sweep; the coordinator
+// reads it between sweeps.
 type shard struct {
 	idx int // shard index; doubles as this shard's merge-bucket index
 	//idspace:internal
@@ -680,8 +681,8 @@ type shard struct {
 // stretch [first, end) of the current broadcast row from its first to its
 // last neighbor in the bucket, and the n neighbors there. Every write a
 // sweep makes to routing and tally state lands in the sweeping shard's own
-// buckets, and no sweep reads another shard's: the coordinator copies the
-// ranges in (setBounds) between sweeps. A bucket fills two cache lines
+// buckets, and no sweep reads another shard's: newExecState copies the
+// ranges in before the first sweep. A bucket fills two cache lines
 // exactly, so the workers' buckets never share a line — with false
 // sharing, every message pushed could stall on a line another worker just
 // wrote.
@@ -737,12 +738,10 @@ type execState struct {
 	// into per-destination-shard merges), 1 under a fault plan (fault
 	// draws need the global send order a single outbox preserves).
 	// parMerge, set by the pool driver, dispatches one merge task per
-	// shard to the worker pool and waits; nil means the coordinator merges
-	// the buckets itself.
-	buckets    int
-	parMerge   func()
-	scratch    []uint64 // whole-graph frontier gather space for rebalancing
-	rebalances int64    // rebalance count over the run
+	// worker goroutine, merges bucket 0 on the coordinator and waits; nil
+	// means the coordinator merges every bucket itself.
+	buckets  int
+	parMerge func()
 
 	// Event-bus state (see events.go). bus is Options.Events: nil when
 	// nothing listens.
@@ -787,7 +786,9 @@ func (st *execState) extID(v int) int {
 }
 
 // newExecState prepares contexts and shards. Shard boundaries split the
-// vertex range into numShards near-equal contiguous pieces.
+// vertex range into numShards near-equal contiguous pieces, fixed for the
+// run; in a bucketed run every shard's buckets get copies of the ranges
+// to route by.
 func (r *Runner) newExecState(numShards int) *execState {
 	root := rng.New(r.opts.Seed)
 	n := r.g.N()
@@ -827,7 +828,13 @@ func (r *Runner) newExecState(numShards int) *execState {
 		r.initContexts(st.ctxs[lo:hi], lo, n, root, sh)
 		st.shards[s] = sh
 	}
-	st.setBounds()
+	if st.buckets > 1 {
+		for _, src := range st.shards {
+			for d, dst := range st.shards {
+				src.buckets[d].lo, src.buckets[d].hi = dst.lo, dst.hi
+			}
+		}
+	}
 	return st
 }
 
@@ -841,20 +848,6 @@ func newShard(s, buckets, width int) *shard {
 		sh.buckets[d].recs = make([]record, 0, width)
 	}
 	return sh
-}
-
-// setBounds copies every shard's vertex range into the matching bucket of
-// every shard of a bucketed run, for routing. The coordinator calls it
-// whenever the ranges change, while no worker sweeps.
-func (st *execState) setBounds() {
-	if st.buckets == 1 {
-		return
-	}
-	for _, src := range st.shards {
-		for d, dst := range st.shards {
-			src.buckets[d].lo, src.buckets[d].hi = dst.lo, dst.hi
-		}
-	}
 }
 
 // sweepShard runs one round for every live node of a shard, in ascending
@@ -904,13 +897,13 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 }
 
 // scanFates evaluates the round's vertex fates for every shard's live
-// vertices, once per round on the coordinator and for every driver (after
-// the pool's rebalance, before the sweep). A VertexGone vertex is retired
-// from the frontier, so a run with permanent crashes can still terminate;
-// a VertexDown vertex keeps its bit but is masked out of this round's
-// sweep. Both verdicts are listed in sh.fates, which the distributed
-// driver ships to the owning worker. Fates are pure functions of (round,
-// vertex), so the scan consumes no randomness.
+// vertices, once per round on the coordinator and for every driver, before
+// the sweep. A VertexGone vertex is retired from the frontier, so a run
+// with permanent crashes can still terminate; a VertexDown vertex keeps
+// its bit but is masked out of this round's sweep. Both verdicts are
+// listed in sh.fates, which the distributed driver ships to the owning
+// worker. Fates are pure functions of (round, vertex), so the scan
+// consumes no randomness.
 func (st *execState) scanFates(round int) {
 	if st.plan == nil || round == 0 {
 		return
@@ -1305,12 +1298,12 @@ func (st *execState) refreshLive() {
 }
 
 // runLoop is the coordinator shared by every driver: round 0 (Init), then
-// rounds 1, 2, ... until every node has halted. Each round the pool
-// re-cuts skewed shards, the fate scan runs, sweep(round) runs every live
-// node once, and delivery merges the outboxes; afterRound, when non-nil,
-// runs after each successfully delivered round, before the round-end event
-// (the pool driver publishes its timing events there). Round reporting
-// rides the event bus: startRound/endRound bracket each round on it.
+// rounds 1, 2, ... until every node has halted. Each round the fate scan
+// runs, sweep(round) runs every live node once, and delivery merges the
+// outboxes; afterRound, when non-nil, runs after each successfully
+// delivered round, before the round-end event (the pool driver publishes
+// its timing events there). Round reporting rides the event bus:
+// startRound/endRound bracket each round on it.
 //
 // Result.Rounds is committed only after a round's delivery succeeds, so a
 // run aborted by a mid-round model violation reports the last *completed*
@@ -1321,9 +1314,6 @@ func (r *Runner) runLoop(st *execState, sweep func(round int), afterRound func(r
 			return st.res, fmt.Errorf("%w (limit %d, %d nodes live)", ErrMaxRounds, r.opts.MaxRounds, st.live)
 		}
 		r.startRound(st, round)
-		if r.opts.Driver == DriverPool && round > 0 {
-			st.maybeRebalance(round)
-		}
 		st.scanFates(round)
 		sweep(round)
 		if err := r.deliver(st, round); err != nil {
@@ -1337,13 +1327,4 @@ func (r *Runner) runLoop(st *execState, sweep func(round int), afterRound func(r
 		r.endRound(st, round)
 	}
 	return st.res, nil
-}
-
-// runSequential is one inline shard: the shared round loop with the sweep
-// on the calling goroutine.
-func (r *Runner) runSequential() (Result, error) {
-	st := r.newExecState(1)
-	return r.runLoop(st, func(round int) {
-		r.sweepShard(st, st.shards[0], round)
-	}, nil)
 }

@@ -321,18 +321,18 @@ func TestGoldenFaultedExecution(t *testing.T) {
 }
 
 // TestGoldenMulticoreFingerprint pins one clean traced run at n = 4096
-// under GOMAXPROCS = 8 with shard rebalancing enabled (the default): the
-// deterministic-event fingerprint, round count, and message totals must be
-// identical across the sequential driver, pool at 1, 4 and 8 workers, and
-// the distributed driver over 8 worker processes — and must not drift
-// across PRs. The graph
-// is deliberately lopsided (a path over the low half, isolated vertices
-// above) so the live set concentrates in the low shards after round 1 and
-// the 8-worker pool actually rebalances mid-run; the test therefore proves
-// the rebalanced layout and the destination-bucketed parallel merge
-// reproduce the exact event stream of the sequential sweep. It runs under
-// make race, where the worker barrier, parallel merge, and rebalancer are
-// all exercised with the race detector watching.
+// under GOMAXPROCS = 8: the deterministic-event fingerprint, round count,
+// and message totals must be identical across the sequential driver, pool
+// at 1, 4 and 8 workers, and the distributed driver over 8 worker
+// processes — and must not drift across PRs. The graph is deliberately
+// lopsided (a path over the low half, isolated vertices above) so the
+// live set stays in the low shards after round 1: the 8-worker pool's
+// high shards drain at once and are skipped while the coordinator's own
+// shard 0 keeps sweeping. The test therefore proves the static shard
+// ranges, the empty-shard skip and the destination-bucketed parallel
+// merge reproduce the exact event stream of the sequential sweep. It runs
+// under make race, where the worker barrier and the parallel merge are
+// exercised with the race detector watching.
 func TestGoldenMulticoreFingerprint(t *testing.T) {
 	const (
 		wantRounds      = 7

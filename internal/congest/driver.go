@@ -9,12 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// WorkerCount resolves Options.Workers for an n-vertex run: Workers when
-// positive, else GOMAXPROCS, then clamped to at most n so no shard is
-// empty at the start. For n = 0 it returns 1 — the value is then only a
-// nominal shard count, since a zero-vertex run sweeps nothing (runPool
-// short-circuits before starting any workers) and every driver handles it
-// identically. The result is always at least 1.
+// WorkerCount resolves Options.Workers for an n-vertex pool run: Workers
+// when positive, else GOMAXPROCS, then clamped to at most n so no shard
+// is empty at the start. The result is always at least 1; a zero-vertex
+// run gets one empty shard, which sweeps nothing.
 func (o Options) WorkerCount(n int) int {
 	w := o.Workers
 	if w <= 0 {
@@ -34,92 +32,50 @@ func (o Options) WorkerCount(n int) int {
 // instead of a sweep. Rounds are >= 0, so the value cannot collide.
 const cmdMerge = -1
 
-// runPool executes the program on the sharded worker pool: workerCount
-// long-lived workers each own one contiguous vertex shard and sweep its
-// live nodes every round, with a channel barrier per round (two channel
-// operations per worker per round). Delivery happens on the coordinator
-// between rounds — except that on a reliable network the
+// runPool executes the program on workers fixed contiguous vertex shards;
+// it is the one in-process driver (DriverSequential is one worker). The
+// calling goroutine is shard 0's worker, and shards 1..workers-1 each get
+// a long-lived goroutine, with a channel barrier per round (two channel
+// operations per goroutine per round): the coordinator dispatches those
+// shards, sweeps shard 0 itself, then waits. Delivery happens on the
+// coordinator between rounds — except that on a reliable network the
 // destination-bucketed merge (deliverBuckets) ships one merge task per
-// shard back to these same workers when volume is high. Between rounds
-// runLoop may also re-cut the shard ranges by live weight (rebalance.go);
-// workers always sweep st.shards[s], whose range the rebalancer updates in
-// place.
-func (r *Runner) runPool() (Result, error) {
-	n := r.g.N()
-	workers := r.opts.WorkerCount(n)
+// shard back to the same workers when volume is high. A one-worker run
+// starts no goroutine and makes no channel, so it allocates nothing a
+// plain inline sweep would not.
+func (r *Runner) runPool(workers int) (Result, error) {
 	st := r.newExecState(workers)
-	if n == 0 {
-		return r.runLoop(st, func(int) {}, nil)
-	}
 	timed := r.opts.timingWanted()
-
-	starts := make([]chan int, workers)
-	done := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for s := 0; s < workers; s++ {
-		starts[s] = make(chan int, 1)
-		//lint:advisory shard workers are deterministic by construction: shard-ordered merge makes scheduling invisible (see package doc)
-		go func(sh *shard, start chan int) {
-			defer wg.Done()
-			for cmd := range start {
-				if cmd == cmdMerge {
-					st.mergeBucket(sh.idx)
-					done <- struct{}{}
-					continue
-				}
-				if timed {
-					t0 := time.Now() //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
-					r.sweepShard(st, sh, cmd)
-					sh.busy = int64(time.Since(t0)) //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
-				} else {
-					r.sweepShard(st, sh, cmd)
-				}
-				done <- struct{}{}
-			}
-		}(st.shards[s], starts[s])
-	}
-	defer func() {
-		for _, start := range starts {
-			close(start)
-		}
-		wg.Wait()
-	}()
-
-	// Parallel merge hook for deliverBuckets: one merge task per shard,
-	// dispatched to every worker (an empty-frontier shard still owns its
-	// destination inbox region) and awaited before delivery continues.
-	// deliver runs strictly between sweep barriers, so the done channel is
-	// empty when this fires.
-	if st.buckets > 1 {
-		st.parMerge = func() {
-			for _, start := range starts {
-				start <- cmdMerge
-			}
-			for range starts {
-				<-done
-			}
-		}
+	var starts []chan int // starts[s] wakes shard s's goroutine; starts[0] is unused
+	var done chan struct{}
+	if len(st.shards) > 1 {
+		var stop func()
+		starts, done, stop = r.startWorkers(st, timed)
+		defer stop()
 	}
 
-	// The barrier: every worker with live nodes sweeps, the coordinator
+	// The barrier: every shard with live nodes sweeps, the coordinator
 	// waits for exactly those. Shards whose frontier has drained get no
-	// dispatch at all — their sweep would scan empty words, so skipping
-	// the channel round-trip is observationally identical and removes the
+	// sweep at all — it would scan empty words, so skipping it (and the
+	// channel round-trip) is observationally identical and removes the
 	// per-empty-shard coordination cost of the tail rounds, where
 	// shattering has halted most of the graph. A skipped shard's worker
 	// is idle for the round, so the coordinator may safely clear its
-	// timing residue. runLoop re-cuts skewed shard layouts by live weight
-	// before this runs, while every worker is parked.
+	// timing residue.
 	sweep := func(round int) {
 		dispatched := 0
-		for s, start := range starts {
+		for s := 1; s < len(st.shards); s++ {
 			if st.shards[s].liveCount == 0 {
 				st.shards[s].busy = 0
 				continue
 			}
-			start <- round
+			starts[s] <- round
 			dispatched++
+		}
+		if sh := st.shards[0]; sh.liveCount > 0 {
+			r.sweepTimed(st, sh, round, timed)
+		} else {
+			sh.busy = 0
 		}
 		for i := 0; i < dispatched; i++ {
 			<-done
@@ -155,14 +111,75 @@ func (r *Runner) runPool() (Result, error) {
 	return r.runLoop(st, timedSweep, afterRound)
 }
 
-// DriverStats aggregates the pool driver's timing events across a run (or
-// several runs) into the driver-efficiency summary cmd/bench -parallel
-// reports. It is a trace.Sink: attach it via Options.Events with
+// startWorkers starts one goroutine for each of shards 1..len-1, each
+// sweeping or merging its own shard on the commands it receives, and
+// installs the parallel merge hook for a bucketed run. stop closes the
+// start channels and waits for the goroutines to exit.
+func (r *Runner) startWorkers(st *execState, timed bool) (starts []chan int, done chan struct{}, stop func()) {
+	starts = make([]chan int, len(st.shards))
+	done = make(chan struct{}, len(st.shards)-1) // one completion per goroutine per barrier
+	var wg sync.WaitGroup
+	for s := 1; s < len(st.shards); s++ {
+		starts[s] = make(chan int, 1)
+		wg.Add(1)
+		//lint:advisory shard workers are deterministic by construction: shard-ordered merge makes scheduling invisible (see package doc)
+		go func(sh *shard, start chan int) {
+			defer wg.Done()
+			for cmd := range start {
+				if cmd == cmdMerge {
+					st.mergeBucket(sh.idx)
+				} else {
+					r.sweepTimed(st, sh, cmd, timed)
+				}
+				done <- struct{}{}
+			}
+		}(st.shards[s], starts[s])
+	}
+
+	// Parallel merge hook for deliverBuckets: one merge task per shard,
+	// dispatched to every worker (an empty-frontier shard still owns its
+	// destination inbox region), bucket 0 merged on the coordinator, and
+	// all awaited before delivery continues. deliver runs strictly between
+	// sweep barriers, so the done channel is empty when this fires.
+	if st.buckets > 1 {
+		st.parMerge = func() {
+			for _, start := range starts[1:] {
+				start <- cmdMerge
+			}
+			st.mergeBucket(0)
+			for range starts[1:] {
+				<-done
+			}
+		}
+	}
+	return starts, done, func() {
+		for _, start := range starts[1:] {
+			close(start)
+		}
+		wg.Wait()
+	}
+}
+
+// sweepTimed sweeps one shard and, when timed, records the sweep's wall
+// time in sh.busy for the shard-busy event.
+func (r *Runner) sweepTimed(st *execState, sh *shard, round int, timed bool) {
+	if !timed {
+		r.sweepShard(st, sh, round)
+		return
+	}
+	t0 := time.Now() //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
+	r.sweepShard(st, sh, round)
+	sh.busy = int64(time.Since(t0)) //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
+}
+
+// DriverStats aggregates the in-process drivers' timing events across a
+// run (or several runs) into the driver-efficiency summary cmd/bench
+// -parallel reports. It is a trace.Sink: attach it via Options.Events with
 // EventTiming set. It folds trace.EvShardBusy and trace.EvMerge events and
 // closes a round on trace.EvRoundEnd only when that round produced timing
-// events, so drivers that emit none (the sequential driver) leave it
-// empty. Not safe for concurrent use; the engine emits from the
-// coordinator only.
+// events, so a driver that emits none (the distributed driver) leaves it
+// empty; a sequential run reports one worker. Not safe for concurrent
+// use; the engine emits from the coordinator only.
 type DriverStats struct {
 	// Rounds is the number of observed rounds (Init included).
 	Rounds int

@@ -16,8 +16,9 @@ import (
 // a traced run is bit-identical to an untraced one and deterministic
 // events are bit-identical across drivers.
 
-// timingWanted reports whether the pool driver should pay for wall-clock
-// sweep/merge timing: a sink is attached and opted in via EventTiming.
+// timingWanted reports whether an in-process driver should pay for
+// wall-clock sweep/merge timing: a sink is attached and opted in via
+// EventTiming.
 func (o Options) timingWanted() bool {
 	return o.Events != nil && o.EventTiming
 }

@@ -7,8 +7,7 @@ import "math/bits"
 // vertex, in the Ligra dense-active-set style. Word wi of the frontier
 // covers vertices [((lo>>6)+wi)<<6, ((lo>>6)+wi+1)<<6) — word boundaries
 // are global (vertex v always lives at bit v&63 of word v>>6 minus the
-// shard's base), so rebalancing on word-aligned cuts moves whole words and
-// a whole-graph gather (rebalance.go) is a word-wise OR.
+// shard's base), so the range's partial edge words are masked.
 //
 // The bitset only loses bits within a run: sweepShard clears them as nodes
 // halt and the fate scan as nodes crash for good, and nothing ever
@@ -23,32 +22,16 @@ func frontierWords(lo, hi int) int {
 	return (hi-1)>>6 - lo>>6 + 1
 }
 
-// resetFrontier points the shard at [lo, hi) with every vertex live.
-func (sh *shard) resetFrontier(lo, hi int) { sh.loadFrontier(lo, hi, nil) }
-
-// loadFrontier points the shard at [lo, hi) with liveness copied from the
-// whole-graph bitset global (indexed by v>>6; nil means every vertex is
-// live), masking the partial edge words. Rebalancing cuts on word
-// boundaries, so in practice the masks are no-ops except at n's final
-// partial word; the masking keeps the function correct for any range. The
-// word storage is reused when capacity allows, so a rebalance in steady
-// state allocates nothing (ranges only shrink in word count as nodes halt).
-func (sh *shard) loadFrontier(lo, hi int, global []uint64) {
+// resetFrontier points the shard at [lo, hi) with every vertex live,
+// masking the partial edge words.
+func (sh *shard) resetFrontier(lo, hi int) {
 	sh.lo, sh.hi = lo, hi
-	words := frontierWords(lo, hi)
-	if cap(sh.frontier) < words {
-		sh.frontier = make([]uint64, words)
-	} else {
-		sh.frontier = sh.frontier[:words]
-	}
+	sh.frontier = make([]uint64, frontierWords(lo, hi))
 	base := lo >> 6
 	count := 0
 	for wi := range sh.frontier {
 		vbase := (base + wi) << 6
 		wd := ^uint64(0)
-		if global != nil {
-			wd = global[base+wi]
-		}
 		if vbase < lo {
 			wd &= ^uint64(0) << uint(lo-vbase)
 		}

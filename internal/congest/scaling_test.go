@@ -59,35 +59,6 @@ func TestResetFrontierMasksRangeEdges(t *testing.T) {
 	}
 }
 
-func TestLoadFrontierCopiesAndMasks(t *testing.T) {
-	// Global bitset over 256 vertices with every third vertex live.
-	global := make([]uint64, 4)
-	want := map[int]bool{}
-	for v := 0; v < 256; v += 3 {
-		global[v>>6] |= 1 << uint(v&63)
-		want[v] = true
-	}
-	for _, c := range []struct{ lo, hi int }{
-		{0, 256}, {0, 64}, {64, 128}, {30, 200}, {100, 101}, {90, 90},
-	} {
-		sh := &shard{}
-		sh.loadFrontier(c.lo, c.hi, global)
-		got := frontierSet(sh)
-		count := 0
-		for v := c.lo; v < c.hi; v++ {
-			if want[v] {
-				if count >= len(got) || got[count] != v {
-					t.Fatalf("[%d,%d): missing or misplaced vertex %d in %v", c.lo, c.hi, v, got)
-				}
-				count++
-			}
-		}
-		if count != len(got) || sh.liveCount != count {
-			t.Fatalf("[%d,%d): %d bits, liveCount %d, want %d", c.lo, c.hi, len(got), sh.liveCount, count)
-		}
-	}
-}
-
 func TestWorkerCountEdgeCases(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	cases := []struct {
@@ -113,8 +84,7 @@ func TestWorkerCountEdgeCases(t *testing.T) {
 	if got := (Options{}).WorkerCount(1 << 20); got != maxprocs {
 		t.Errorf("default WorkerCount(large n) = %d, want GOMAXPROCS = %d", got, maxprocs)
 	}
-	// Zero-vertex runs still execute under every driver (the returned 1 is
-	// nominal: runPool short-circuits before starting workers).
+	// A non-positive Workers still yields a runnable pool.
 	r := NewRunner(ringGraph(3), haltFactory, Options{Seed: 1, Driver: DriverPool, Workers: -3})
 	if _, err := r.Run(); err != nil {
 		t.Fatalf("negative Workers run failed: %v", err)
@@ -165,167 +135,84 @@ func TestEfficiencyDispatchedShards(t *testing.T) {
 	}
 }
 
-// skewHalter drives a deliberately skewed shattering shape: vertices at or
-// above cut halt in round haltAt, the rest keep broadcasting until round
-// last. With cut at n/8, three of four equal-width shards drain at once
-// and the survivors concentrate in shard 0 — the layout rebalancing exists
-// to fix.
+// skewHalter drives a deliberately skewed shattering shape: vertices
+// outside [keepLo, keepHi) halt in round haltAt, the rest keep
+// broadcasting until round last. With the survivors in the first or the
+// last eighth of the ID range, every shard but the first (or the last)
+// drains at once.
 type skewHalter struct {
-	cut, haltAt, last int
+	keepLo, keepHi, haltAt, last int
 }
 
 func (s *skewHalter) Init(ctx *Context) { ctx.Broadcast(rawWire(8)) }
 
 func (s *skewHalter) Round(ctx *Context, _ []Message) {
-	if ctx.Round() >= s.haltAt && ctx.ID() >= s.cut {
-		ctx.Halt()
-		return
-	}
-	if ctx.Round() >= s.last {
+	kept := ctx.ID() >= s.keepLo && ctx.ID() < s.keepHi
+	if ctx.Round() >= s.haltAt && !kept || ctx.Round() >= s.last {
 		ctx.Halt()
 		return
 	}
 	ctx.Broadcast(rawWire(8))
 }
 
-// TestRebalanceTriggersAndPreservesDeterminism runs the skewed workload on
-// the pool driver and requires (a) that rebalancing actually fired, (b)
-// that the deterministic event fingerprint, Result, and round count are
-// identical to the sequential driver, which never rebalances.
-func TestRebalanceTriggersAndPreservesDeterminism(t *testing.T) {
-	const n = 4096
-	g := ringGraph(n)
-	factory := func(int) Node { return &skewHalter{cut: n / 8, haltAt: 2, last: 12} }
+// shardLiveSink forwards to a recorder and notes whether some timed round
+// had shard 0 drained while a later shard was still live.
+type shardLiveSink struct {
+	rec       *trace.Recorder
+	shard0Dry bool
+	round     int32
+	zeroEmpty bool
+}
 
-	run := func(opts Options) (Result, uint64, int64) {
-		rec := trace.NewRecorder(0)
-		rebalances := int64(0)
-		opts.Seed = 7
-		opts.Events = countingSink{rec: rec, rebalances: &rebalances}
-		r := NewRunner(g, factory, opts)
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
+func (s *shardLiveSink) Emit(e trace.Event) {
+	if e.Type == trace.EvShardBusy {
+		if e.V == 0 {
+			s.round, s.zeroEmpty = e.Round, e.Y == 0
+		} else if e.Round == s.round && s.zeroEmpty && e.Y > 0 {
+			s.shard0Dry = true
 		}
-		return res, rec.Fingerprint(), rebalances
-	}
-
-	seqRes, seqFP, seqReb := run(Options{Driver: DriverSequential})
-	if seqReb != 0 {
-		t.Fatalf("sequential driver rebalanced %d times, want 0", seqReb)
-	}
-	poolRes, poolFP, poolReb := run(Options{Driver: DriverPool, Workers: 4})
-	if poolReb == 0 {
-		t.Fatal("pool driver never rebalanced on a skewed workload")
-	}
-	if poolRes != seqRes {
-		t.Fatalf("Results diverge: seq %+v, pool %+v", seqRes, poolRes)
-	}
-	if poolFP != seqFP {
-		t.Fatalf("fingerprints diverge: seq %#x, pool %#x", seqFP, poolFP)
-	}
-}
-
-// countingSink forwards to a recorder and counts rebalance events.
-type countingSink struct {
-	rec        *trace.Recorder
-	rebalances *int64
-}
-
-func (s countingSink) Emit(e trace.Event) {
-	if e.Type == trace.EvRebalance {
-		*s.rebalances++
 	}
 	s.rec.Emit(e)
 }
 
-// TestRebalancePartitionInvariants drives the rebalancer directly: after
-// any rebalance the shard ranges must partition [0, n) contiguously, every
-// shard's liveCount must equal its frontier popcount, the total must be
-// conserved, and every context must point at the shard that owns it.
-func TestRebalancePartitionInvariants(t *testing.T) {
-	const n = 2048
-	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Driver: DriverPool,
-	})
-	st := r.newExecState(4)
-	// Manufacture heavy skew: clear every bit outside [0, n/8).
-	for _, sh := range st.shards {
-		for v := n / 8; v < n; v++ {
-			if v >= sh.lo && v < sh.hi {
-				wi := v>>6 - sh.lo>>6
-				if sh.frontier[wi]&(1<<uint(v&63)) != 0 {
-					sh.frontier[wi] &^= 1 << uint(v&63)
-					sh.liveCount--
-				}
+// TestSkewedHaltDeterminism runs the skewed workload under the sequential
+// driver and the pool at 2, 3 and 4 workers, and requires the Result and
+// the deterministic event fingerprint to agree. With the survivors at the
+// head of the ID range the coordinator's own shard 0 does all the late
+// sweeping while the goroutines idle; with them at the tail shard 0
+// drains first and the coordinator only dispatches and waits.
+func TestSkewedHaltDeterminism(t *testing.T) {
+	const n = 4096
+	g := ringGraph(n)
+	for _, c := range []struct {
+		name           string
+		keepLo, keepHi int
+	}{
+		{"survivors-in-first-shard", 0, n / 8},
+		{"survivors-in-last-shard", n - n/8, n},
+	} {
+		factory := func(int) Node { return &skewHalter{keepLo: c.keepLo, keepHi: c.keepHi, haltAt: 2, last: 12} }
+		run := func(opts Options) (Result, uint64, bool) {
+			sink := &shardLiveSink{rec: trace.NewRecorder(0)}
+			opts.Seed, opts.Events, opts.EventTiming = 7, sink, true
+			res, err := NewRunner(g, factory, opts).Run()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return res, sink.rec.Fingerprint(), sink.shard0Dry
+		}
+		seqRes, seqFP, _ := run(Options{Driver: DriverSequential})
+		for _, w := range []int{2, 3, 4} {
+			res, fp, dry := run(Options{Driver: DriverPool, Workers: w})
+			if res != seqRes {
+				t.Fatalf("%s, %d workers: Results diverge: seq %+v, pool %+v", c.name, w, seqRes, res)
+			}
+			if fp != seqFP {
+				t.Fatalf("%s, %d workers: fingerprints diverge: seq %#x, pool %#x", c.name, w, seqFP, fp)
+			}
+			if want := c.keepLo > 0; dry != want {
+				t.Fatalf("%s, %d workers: shard 0 drained before a later shard = %v, want %v", c.name, w, dry, want)
 			}
 		}
-	}
-	st.maybeRebalance(1)
-	if st.rebalances != 1 {
-		t.Fatalf("rebalances = %d, want 1", st.rebalances)
-	}
-	lo := 0
-	total := 0
-	for s, sh := range st.shards {
-		if sh.lo != lo {
-			t.Fatalf("shard %d starts at %d, want %d (ranges must be contiguous)", s, sh.lo, lo)
-		}
-		if sh.hi < sh.lo {
-			t.Fatalf("shard %d range [%d, %d) inverted", s, sh.lo, sh.hi)
-		}
-		count := 0
-		for _, w := range sh.frontier {
-			count += bits.OnesCount64(w)
-		}
-		if count != sh.liveCount {
-			t.Fatalf("shard %d liveCount %d != popcount %d", s, sh.liveCount, count)
-		}
-		for v := sh.lo; v < sh.hi; v++ {
-			if st.ctxs[v].shard != sh {
-				t.Fatalf("vertex %d context points at the wrong shard", v)
-			}
-			if len(sh.buckets) > 1 && sh.bucketOf(v) != sh.idx {
-				t.Fatalf("vertex %d routes to bucket %d, want %d", v, sh.bucketOf(v), sh.idx)
-			}
-		}
-		total += count
-		lo = sh.hi
-	}
-	if lo != n {
-		t.Fatalf("shard ranges end at %d, want %d", lo, n)
-	}
-	if total != n/8 {
-		t.Fatalf("live total %d after rebalance, want %d", total, n/8)
-	}
-	// The load must actually be spread: no shard may hold more than half
-	// the surviving frontier (before, shard 0 held all of it).
-	for s, sh := range st.shards {
-		if sh.liveCount > total/2 {
-			t.Fatalf("shard %d still holds %d of %d live vertices", s, sh.liveCount, total)
-		}
-	}
-}
-
-// TestRebalanceBelowThresholdIsNoop pins the trigger's guard rails: too
-// little total work, or a balanced histogram, must leave the layout alone.
-func TestRebalanceBelowThresholdIsNoop(t *testing.T) {
-	const n = 128 // 4 shards × 32 vertices < rebalanceMinPerShard each
-	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Driver: DriverPool,
-	})
-	st := r.newExecState(4)
-	st.maybeRebalance(1)
-	if st.rebalances != 0 {
-		t.Fatalf("rebalanced with %d vertices across 4 shards (floor is %d/shard)", n, rebalanceMinPerShard)
-	}
-	// Plenty of work but perfectly balanced: still a no-op.
-	r2 := NewRunner(ringGraph(1024), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Driver: DriverPool,
-	})
-	st2 := r2.newExecState(4)
-	st2.maybeRebalance(1)
-	if st2.rebalances != 0 {
-		t.Fatal("rebalanced a perfectly balanced layout")
 	}
 }

@@ -210,32 +210,33 @@ func TestReplayAgainstRecordedTrace(t *testing.T) {
 	}
 }
 
-// TestPoolObserverAdapter checks a full program run still delivers the
-// pool's per-round timing metrics to DriverStats attached as the event
-// sink, and that the sequential driver, which emits no timing events,
-// leaves it empty.
-func TestPoolObserverAdapter(t *testing.T) {
+// TestDriverStatsFromTimingEvents checks a full program run delivers the
+// in-process drivers' per-round timing events to DriverStats attached as
+// the event sink: the pool reports its worker count, and the sequential
+// driver, the one-worker pool, reports one worker. Both count every round,
+// Init included.
+func TestDriverStatsFromTimingEvents(t *testing.T) {
 	n := 128
 	g := gen.UnionOfTrees(n, 2, rng.New(4))
-	var stats congest.DriverStats
-	opts := congest.Options{Seed: 11, Driver: congest.DriverPool, Workers: 4, Events: &stats, EventTiming: true}
-	_, res, err := metivier.Run(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != res.Rounds+1 { // Init included
-		t.Fatalf("observed %d rounds, run had %d (+Init)", stats.Rounds, res.Rounds)
-	}
-	if stats.Workers != 4 {
-		t.Fatalf("observed %d workers, want 4", stats.Workers)
-	}
-	var seq congest.DriverStats
-	_, _, err = metivier.Run(g, congest.Options{Seed: 11, Events: &seq, EventTiming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Rounds != 0 {
-		t.Fatalf("sequential driver produced %d timed rounds, want 0", seq.Rounds)
+	for _, c := range []struct {
+		opts    congest.Options
+		workers int
+	}{
+		{congest.Options{Driver: congest.DriverPool, Workers: 4}, 4},
+		{congest.Options{}, 1},
+	} {
+		var stats congest.DriverStats
+		c.opts.Seed, c.opts.Events, c.opts.EventTiming = 11, &stats, true
+		_, res, err := metivier.Run(g, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Rounds != res.Rounds+1 { // Init included
+			t.Fatalf("%v: observed %d rounds, run had %d (+Init)", c.opts.Driver, stats.Rounds, res.Rounds)
+		}
+		if stats.Workers != c.workers {
+			t.Fatalf("%v: observed %d workers, want %d", c.opts.Driver, stats.Workers, c.workers)
+		}
 	}
 }
 
@@ -259,5 +260,24 @@ func TestNodeStateEventsMatchStatuses(t *testing.T) {
 		if (s == base.StatusInMIS) != joined[int32(v)] {
 			t.Fatalf("vertex %d: status %v but joined=%v", v, s, joined[int32(v)])
 		}
+	}
+}
+
+// TestTinySequentialRunAllocs bounds the fixed cost of a whole sequential
+// Métivier run on an 8-vertex graph — what a caller that builds a Runner
+// per small job (dynamic repair does, once per repair) pays every time.
+// The sequential driver is the one-worker pool, and with one worker the
+// pool starts no goroutine and makes no channel, WaitGroup or closure:
+// 15 allocations per run, the count of a plain inline sweep.
+func TestTinySequentialRunAllocs(t *testing.T) {
+	const budget = 15
+	g := gen.UnionOfTrees(8, 2, rng.New(1))
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := metivier.Run(g, congest.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("tiny sequential run allocates %v objects, budget %d", allocs, budget)
 	}
 }

@@ -101,9 +101,6 @@ type Row struct {
 	FingerprintClean   string `json:"fingerprint_clean"`
 	FingerprintFaulted string `json:"fingerprint_faulted,omitempty"`
 	FaultedStalled     bool   `json:"faulted_stalled,omitempty"`
-	// Rebalances counts the traced clean run's shard rebalances
-	// (advisory: depends on the worker count).
-	Rebalances int64 `json:"rebalances,omitempty"`
 	// FrameBytesPerRound and MeanRTTNS are the distributed driver's
 	// transport cost in the traced clean run: coordinator↔worker frame
 	// bytes per round and the mean per-shard frame round trip (advisory).
@@ -226,7 +223,7 @@ func scaleSuite(ns, workers []int, reps int) Suite {
 		Cells:   []Cell{{Driver: congest.DriverSequential, Faulted: true}},
 		Ref:     1,
 		Reps:    reps,
-		Columns: []string{"n", "driver", "requested", "workers", "wall ms", "speedup", "msgs/s", "rebalances"},
+		Columns: []string{"n", "driver", "requested", "workers", "wall ms", "speedup", "msgs/s"},
 		faults:  dropFaults,
 	}
 	for _, n := range ns {
@@ -480,7 +477,7 @@ func runCell(row *Row, g *graph.Graph, s Suite, c Cell, seed uint64) error {
 	if err != nil {
 		return fmt.Errorf("traced: %w", err)
 	}
-	row.FingerprintClean, row.Rebalances = fp, counts.rebalances
+	row.FingerprintClean = fp
 	if counts.frames > 0 {
 		row.FrameBytesPerRound = float64(counts.frameBytes) / float64(row.Rounds)
 		row.MeanRTTNS = counts.rttNS / counts.frames
@@ -529,18 +526,15 @@ func timedSink(mode string) (*trace.Recorder, func() error, error) {
 // BENCH artifact and experiment note records it.
 func fingerprintHex(fp uint64) string { return fmt.Sprintf("%#016x", fp) }
 
-// runCounts tallies a traced run's advisory events: the pool driver's
-// shard rebalances and the distributed driver's frame round trips.
+// runCounts tallies a traced run's advisory events: the distributed
+// driver's frame round trips.
 type runCounts struct {
-	rebalances, frames, frameBytes, rttNS int64
+	frames, frameBytes, rttNS int64
 }
 
 // Emit implements trace.Sink.
 func (c *runCounts) Emit(e trace.Event) {
-	switch e.Type {
-	case trace.EvRebalance:
-		c.rebalances++
-	case trace.EvFrame:
+	if e.Type == trace.EvFrame {
 		c.frames++
 		c.frameBytes += e.X + e.Y
 		c.rttNS += e.Z
@@ -745,8 +739,6 @@ func column(r Row, name string) interface{} {
 		return float64(r.AllocsPerRun) / float64(max(r.Messages, 1))
 	case "events":
 		return int(r.Events)
-	case "rebalances":
-		return int(r.Rebalances)
 	case "frame B/round":
 		return r.FrameBytesPerRound
 	case "rtt µs":

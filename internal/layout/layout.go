@@ -16,7 +16,6 @@ package layout
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -79,21 +78,32 @@ func Invert(p []int) []int {
 
 // degsortOrder returns the visitation order (internal → original) of the
 // DegSort ordering: degree descending, ties by original ID ascending.
-// The returned slice holds external (original) IDs.
+// It is a stable bucket sort by degree in O(n + Δ): vertices are filed in
+// ascending ID order into per-degree buckets laid out from the highest
+// degree down. The returned slice holds external (original) IDs.
 //
 //idspace:returns external
 func degsortOrder(g *graph.Graph) []int {
 	n := g.N()
-	order := make([]int, n)
-	for v := range order {
-		order[v] = v
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, g.Degree(v))
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := g.Degree(order[a]), g.Degree(order[b])
-		if da != db {
-			return da > db
-		}
-		return order[a] < order[b]
-	})
+	// next[d] counts degree-d vertices, then becomes the slot of the next
+	// one: after every vertex of higher degree.
+	next := make([]int, maxDeg+1)
+	for v := 0; v < n; v++ {
+		next[g.Degree(v)]++
+	}
+	pos := 0
+	for d := maxDeg; d >= 0; d-- {
+		next[d], pos = pos, pos+next[d]
+	}
+	order := make([]int, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		order[next[d]] = v
+		next[d]++
+	}
 	return order
 }

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -90,6 +91,29 @@ func TestDegSortOrder(t *testing.T) {
 		}
 		if da == db && inv[p-1] > inv[p] {
 			t.Fatalf("degsort tie at degree %d not broken by ID: %d before %d", da, inv[p-1], inv[p])
+		}
+	}
+}
+
+// TestDegSortMatchesComparisonSort checks the bucket sort against the
+// comparison sort it replaced — a stable sort of the IDs by descending
+// degree — on random graphs with varied degree profiles.
+func TestDegSortMatchesComparisonSort(t *testing.T) {
+	r := rng.New(5)
+	for i, g := range []*graph.Graph{
+		gen.PreferentialAttachment(500, 2, r.Split(1)),
+		gen.GNP(300, 0.03, r.Split(2)),
+		gen.UnionOfTrees(400, 3, r.Split(3)),
+		gen.RandomForest(200, 7, r.Split(4)),
+		graph.MustNew(0, nil),
+	} {
+		want := make([]int, g.N())
+		for v := range want {
+			want[v] = v
+		}
+		sort.SliceStable(want, func(a, b int) bool { return g.Degree(want[a]) > g.Degree(want[b]) })
+		if got := degsortOrder(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d: degsortOrder differs from the stable comparison sort", i)
 		}
 	}
 }

@@ -17,7 +17,7 @@
 //     transitions, halts, RNG draw totals) are bit-identical across the
 //     sequential, worker-pool, and distributed drivers for the same seed —
 //     they are covered by Fingerprint and compared by Bisect;
-//   - advisory events (shard timings, merge time, rebalances, frames)
+//   - advisory events (shard sweep timings, merge time, frames, respawns)
 //     describe how a particular driver executed the run and legitimately
 //     differ between drivers; Fingerprint and Bisect ignore them.
 //
@@ -68,17 +68,19 @@ const (
 	// on that pair. The engine no longer emits it; the value is kept so
 	// the Type numbering (and with it every fingerprint) stays stable.
 	EvShardFlow
-	// EvShardBusy is the advisory per-shard sweep timing from the pool
-	// driver: V = shard, X = busy nanoseconds, Y = live nodes in the shard.
+	// EvShardBusy is the advisory per-shard sweep timing from the
+	// in-process drivers (the sequential driver reports its one shard):
+	// V = shard, X = busy nanoseconds, Y = live nodes in the shard.
 	EvShardBusy
-	// EvMerge is the advisory coordinator delivery timing from the pool
-	// driver: X = merge nanoseconds.
+	// EvMerge is the advisory coordinator delivery timing from the
+	// in-process drivers: X = merge nanoseconds.
 	EvMerge
-	// EvRebalance is the advisory shard-rebalance record from the pool
-	// driver: the coordinator re-partitioned the vertex range by live
-	// weight before the round's sweep. X = total live vertices at the
-	// rebalance, Y = the run's cumulative rebalance count. Shard layout
-	// depends on the worker count, so the event is advisory.
+	// EvRebalance was the advisory shard-rebalance record of the pool
+	// driver's live-weight rebalancer: X = total live vertices at the
+	// rebalance, Y = the run's cumulative rebalance count. Shard ranges
+	// are now fixed for a run and the engine no longer emits it; the
+	// value is kept so the Type numbering (and with it every fingerprint)
+	// stays stable.
 	EvRebalance
 	// EvRepair is one incremental repair by the dynamic-MIS engine
 	// (internal/dynmis): Round = the update-batch index (0 = bootstrap),

@@ -55,7 +55,7 @@ type (
 	// DriverKind selects the engine execution strategy (see the Driver*
 	// constants).
 	DriverKind = congest.DriverKind
-	// DriverStats aggregates the worker-pool driver's efficiency metrics;
+	// DriverStats aggregates the in-process drivers' efficiency metrics;
 	// attach it as Options.Events with Options.EventTiming set.
 	DriverStats = congest.DriverStats
 	// TraceEvent is one typed execution event (see EvRoundEnd).
